@@ -10,11 +10,14 @@ The suite measures the per-event hot path at three granularities:
 * **campaign** — a small serial ``is.A`` campaign with provenance on,
   the unit of work every table/figure regeneration multiplies.
 
-Every metric reduces to one ``score`` where **higher is better**.  A run
-also measures a fixed pure-Python *calibration* workload; the regression
-gate compares **calibration-normalized** scores, so a baseline recorded on
-a fast machine does not fail the gate on a slower CI runner (both the
-score and the calibration shrink together).
+Every metric reduces to one ``score`` where **higher is better**.  Each
+timed slice of a metric runs between two samples of the fixed pure-Python
+reference loop in :mod:`perfbench.reference` (the yardstick the repo
+benchmark calibrates its ops with), and the regression gate compares the median
+**calibration-normalized** score, so a baseline recorded on a fast machine
+does not fail the gate on a slower CI runner (both the score and the
+calibration shrink together), and neither does a host whose speed drifts
+while the suite runs.
 
 CLI::
 
@@ -22,71 +25,109 @@ CLI::
     python -m benchmarks.perf.simcore --check \
         --baseline benchmarks/perf/baseline/BENCH_simcore.json
 
-Environment knobs: ``REPRO_PERF_REPS`` (best-of repetitions, default 3),
+Environment knobs: ``REPRO_PERF_REPS`` (repetitions, default 3),
 ``REPRO_PERF_TOLERANCE`` (allowed fractional slowdown, default 0.15).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from statistics import median
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+
+from perfbench import reference
 
 SCHEMA = 1
+_T = TypeVar("_T")
 
 DEFAULT_REPS = int(os.environ.get("REPRO_PERF_REPS", "3"))
 DEFAULT_TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.15"))
+#: Calibrated slices per rep of a micro metric (each slice is ~50 ms).
+MICRO_SLICES = 16
 
 
 # --------------------------------------------------------------- measurement
 
+#: Reference-loop samples the document-wide calibration is the median of.
+CAL_SAMPLES = 5
 
-def _best_of(fn: Callable[[], Tuple[float, float]], reps: int) -> Tuple[float, float]:
-    """Run *fn* ``reps`` times; return the (score, wall_s) of the fastest
-    repetition.  Best-of filters scheduler noise on shared CI runners."""
-    best: Optional[Tuple[float, float]] = None
-    for _ in range(reps):
-        score, wall = fn()
-        if best is None or wall < best[1]:
-            best = (score, wall)
-    assert best is not None
-    return best
+
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Move every live object out of the collector's view for the block,
+    so the drain before each slice costs only the garbage made since."""
+    gc.collect()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
+def _drained(fn: Callable[[], _T]) -> _T:
+    """Call *fn* after collecting the garbage earlier slices left behind.
+
+    The collector stays on inside *fn*: the collections its own
+    allocations trigger are part of its run time and are timed with it;
+    only a collection of an earlier slice's garbage is kept out."""
+    gc.collect()
+    return fn()
 
 
 def calibrate() -> float:
-    """Machine-speed yardstick: a fixed pure-Python workload, in ops/sec.
+    """Reference-loop speed in events/sec: the median of
+    :data:`CAL_SAMPLES` samples of :mod:`perfbench.reference`'s loop."""
+    reference.sample()  # warm-up
+    with _frozen_heap():
+        return median(
+            reference.EVENTS / _drained(reference.sample) for _ in range(CAL_SAMPLES)
+        )
 
-    Exercises the same interpreter machinery the simulator leans on
-    (integer arithmetic, attribute-free function calls, list/dict churn,
-    ``heapq``) so the normalization tracks what actually limits the
-    simulator on a given host."""
-    import heapq
 
-    def one_pass() -> None:
-        heap: List[Tuple[int, int]] = []
-        table: Dict[int, int] = {}
-        acc = 0
-        for i in range(20_000):
-            heapq.heappush(heap, ((i * 2_654_435_761) & 0xFFFF, i))
-            table[i & 1023] = acc
-            acc += table.get((i * 7) & 1023, 0) + i
-            if i & 7 == 0 and heap:
-                acc += heapq.heappop(heap)[0]
+def _measure(
+    run: Callable[[], Tuple[float, float]], reps: int, inner: int = 1
+) -> Tuple[float, float, float]:
+    """Time ``reps * inner`` slices of *run*, each between two reference
+    samples; return the medians of (raw score, normalized score, wall_s).
 
-    # One warm-up, then best of 3 — calibration must itself be stable.
-    one_pass()
-    best = None
-    for _ in range(3):
-        t0 = time.perf_counter()
-        one_pass()
-        dt = time.perf_counter() - t0
-        if best is None or dt < best:
-            best = dt
-    return 20_000 / best
+    *run* returns ``(units, seconds)`` for one slice.  The host's speed
+    drifts by tens of percent within seconds, so a calibration taken once
+    per process normalizes a score by the wrong yardstick: each slice's
+    seconds are instead calibrated by the two reference samples around it
+    (:func:`perfbench.reference.calibrate`), and the median over slices
+    discards the pairs a speed change split down the middle (a best-of
+    would select exactly those outliers)."""
+    reference.sample()  # warm-up
+    raw: List[float] = []
+    normalized: List[float] = []
+    walls: List[float] = []
+    with _frozen_heap():
+        before = _drained(reference.sample)
+        for _ in range(reps * inner):
+            units, dt = _drained(run)
+            after = _drained(reference.sample)
+            raw.append(units / dt)
+            normalized.append(units / reference.calibrate(dt, before, after))
+            walls.append(dt)
+            before = after
+    return median(raw), median(normalized), median(walls)
+
+
+def _metric(unit: str, run, reps: int, inner: int = 1) -> Dict[str, float]:
+    score, normalized, wall = _measure(run, reps, inner)
+    return {
+        "score": score,
+        "normalized": normalized,
+        "unit": unit,
+        "wall_s": round(wall, 4),
+    }
 
 
 def micro_event_queue(reps: int = DEFAULT_REPS) -> Dict[str, float]:
@@ -109,11 +150,9 @@ def micro_event_queue(reps: int = DEFAULT_REPS) -> Dict[str, float]:
                 q.pop()
         while q.pop() is not None:
             pass
-        dt = time.perf_counter() - t0
-        return n / dt, dt
+        return n, time.perf_counter() - t0
 
-    score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "ops/s", "wall_s": round(wall, 4)}
+    return _metric("ops/s", run, reps, MICRO_SLICES)
 
 
 def micro_sim_loop(reps: int = DEFAULT_REPS) -> Dict[str, float]:
@@ -135,11 +174,9 @@ def micro_sim_loop(reps: int = DEFAULT_REPS) -> Dict[str, float]:
         sim.after(1, tick, label="tick")
         t0 = time.perf_counter()
         sim.run_until()
-        dt = time.perf_counter() - t0
-        return sim.events_processed / dt, dt
+        return sim.events_processed, time.perf_counter() - t0
 
-    score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "events/s", "wall_s": round(wall, 4)}
+    return _metric("events/s", run, reps, MICRO_SLICES)
 
 
 def micro_warmth_invert(reps: int = DEFAULT_REPS) -> Dict[str, float]:
@@ -157,11 +194,9 @@ def micro_warmth_invert(reps: int = DEFAULT_REPS) -> Dict[str, float]:
         for i in range(n):
             state.warmth = (i & 255) / 255.0
             model.time_for_work(state, 1_000 + (i & 8191), 0.87)
-        dt = time.perf_counter() - t0
-        return n / dt, dt
+        return n, time.perf_counter() - t0
 
-    score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "calls/s", "wall_s": round(wall, 4)}
+    return _metric("calls/s", run, reps, MICRO_SLICES)
 
 
 def _macro_nas(
@@ -169,10 +204,10 @@ def _macro_nas(
 ) -> Dict[str, float]:
     """One NAS execution as events per wall second.
 
-    *inner* > 1 aggregates that many back-to-back executions into a
-    single measurement (total events / total seconds): a sub-20ms run
-    like ``is.A`` is pure scheduling-noise lottery on a shared host, and
-    no best-of can gate it at a 15% tolerance — a few runs per rep can.
+    *inner* > 1 times that many executions per rep, each its own
+    calibrated slice: a sub-20ms run like ``is.A`` is pure
+    scheduling-noise lottery on a shared host, and only the median of
+    several can be gated at a 15% tolerance.
     """
     from repro.apps.nas import nas_program, nas_spec
     from repro.experiments.runner import _run_job
@@ -182,26 +217,20 @@ def _macro_nas(
     spec = nas_spec(app, klass)
 
     def run() -> Tuple[float, float]:
-        events = 0
-        dt = 0.0
-        for _ in range(inner):
-            program = nas_program(spec, machine)
-            t0 = time.perf_counter()
-            job = _run_job(
-                program,
-                spec.nprocs,
-                regime,
-                seed=1,
-                machine=machine,
-                cold_speed=spec.cold_speed,
-                rewarm_scale=spec.rewarm_scale,
-            )
-            dt += time.perf_counter() - t0
-            events += job.kernel.sim.events_processed
-        return events / dt, dt
+        program = nas_program(spec, machine)
+        t0 = time.perf_counter()
+        job = _run_job(
+            program,
+            spec.nprocs,
+            regime,
+            seed=1,
+            machine=machine,
+            cold_speed=spec.cold_speed,
+            rewarm_scale=spec.rewarm_scale,
+        )
+        return job.kernel.sim.events_processed, time.perf_counter() - t0
 
-    score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "events/s", "wall_s": round(wall, 4)}
+    return _metric("events/s", run, reps, inner)
 
 
 def campaign_is_a(reps: int = DEFAULT_REPS, n_runs: int = 16) -> Dict[str, float]:
@@ -222,10 +251,9 @@ def campaign_is_a(reps: int = DEFAULT_REPS, n_runs: int = 16) -> Dict[str, float
                 provenance_path=os.path.join(td, "prov.jsonl"),
             )
             dt = time.perf_counter() - t0
-        return n_runs / dt, dt
+        return n_runs, dt
 
-    score, wall = _best_of(run, reps)
-    return {"score": score, "unit": "runs/s", "wall_s": round(wall, 4)}
+    return _metric("runs/s", run, reps)
 
 
 #: Metric name -> zero-argument measurement callable.  Ordered micro →
@@ -261,6 +289,15 @@ def collect(only: Optional[List[str]] = None) -> Dict[str, object]:
 # --------------------------------------------------------------------- gate
 
 
+def _normalized(metric: Dict[str, float], calib: float) -> float:
+    """A metric's calibration-normalized score: the per-slice median
+    :func:`_measure` recorded, or, for documents without one, the score
+    over the document-wide calibration."""
+    if "normalized" in metric:
+        return metric["normalized"]
+    return metric["score"] / calib
+
+
 def compare(
     current: Dict[str, object],
     baseline: Dict[str, object],
@@ -282,7 +319,7 @@ def compare(
         cur = cur_metrics.get(name)
         if cur is None:
             continue
-        ratio = (cur["score"] / cur_calib) / (base["score"] / base_calib)
+        ratio = _normalized(cur, cur_calib) / _normalized(base, base_calib)
         if ratio < 1.0 - tolerance:
             failures.append(
                 f"{name}: {ratio:.2f}x of baseline "
@@ -323,7 +360,7 @@ def diff(current: Dict[str, object], baseline: Dict[str, object]) -> List[str]:
             )
             continue
         raw = cur["score"] / base["score"]
-        norm = (cur["score"] / cur_calib) / (base["score"] / base_calib)
+        norm = _normalized(cur, cur_calib) / _normalized(base, base_calib)
         lines.append(
             f"{name:24s} {base['score']:12.0f} -> {cur['score']:12.0f} "
             f"{cur.get('unit', ''):9s} raw {raw:5.2f}x  normalized {norm:5.2f}x"

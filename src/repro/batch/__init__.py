@@ -13,7 +13,6 @@ cells into the cache/journal/supervisor/provenance fabric
 """
 
 from repro.batch.campaign import (
-    BatchCampaignResult,
     build_batch_specs,
     run_batch_campaign,
 )
@@ -40,7 +39,6 @@ from repro.batch.workload import BatchJob, WorkloadConfig, generate_trace
 __all__ = [
     "BATCH_POLICIES",
     "BSLD_TAU_US",
-    "BatchCampaignResult",
     "BatchDispatcher",
     "BatchJob",
     "BatchPolicy",

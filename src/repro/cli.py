@@ -680,9 +680,45 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_supervision(campaign, args: argparse.Namespace) -> None:
-    """One line each for retries, holes, and resume replay — only when they
-    happened, so clean campaigns print exactly what they always did."""
+def _campaign_command(args: argparse.Namespace, run, header, report) -> int:
+    """The frame every campaign-running command shares.
+
+    Checks the --resume/--provenance/--telemetry preconditions (exit 2
+    before any simulation), calls ``run(telemetry)`` inside the telemetry
+    bracket (a missing --resume journal exits 2), then prints
+    ``header(campaign)``, ``report(campaign)`` — or the all-holes note —
+    and the exec, supervision, provenance and telemetry footer.  Retries,
+    holes and resume replay get a line only when they happened, so clean
+    campaigns print exactly what they always did."""
+    from repro.parallel.supervisor import NoJournalError
+
+    if not _resume_usable(args):
+        return 2
+    provenance = getattr(args, "provenance", None)
+    for flag, path in (("--provenance", provenance),
+                       ("--telemetry", args.telemetry)):
+        if path is not None:
+            reason = _unwritable(path)
+            if reason is not None:
+                print(f"error: cannot write {flag} {path}: {reason}",
+                      file=sys.stderr)
+                return 2
+    telemetry = _make_telemetry(args)
+    try:
+        campaign = run(telemetry)
+    except NoJournalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if telemetry is not None:
+            telemetry.close()
+    print(header(campaign))
+    if campaign.results:
+        report(campaign)
+    else:
+        print("  (no repetition completed — every run is a hole)")
+    print(f"  exec  {campaign.jobs} worker(s), "
+          f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
     if campaign.retries:
         print(f"  retried {campaign.retries} attempt(s)")
     if campaign.holes:
@@ -690,45 +726,29 @@ def _print_supervision(campaign, args: argparse.Namespace) -> None:
               f"indices {campaign.holes}")
     if args.resume:
         print(f"  resumed: {campaign.replayed} run(s) replayed from the journal")
+    if provenance:
+        print(f"  provenance -> {provenance} ({campaign.n_runs} records)")
+    if args.telemetry:
+        print(f"  telemetry  -> {args.telemetry}")
+    return 0
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_nas_campaign
-    from repro.parallel.supervisor import NoJournalError
 
     if _unknown_bench(args.bench, args.klass):
         return 2
-    if not _resume_usable(args):
-        return 2
-    if args.provenance is not None:
-        reason = _unwritable(args.provenance)
-        if reason is not None:
-            print(f"error: cannot write --provenance {args.provenance}: {reason}",
-                  file=sys.stderr)
-            return 2
-    if args.telemetry is not None:
-        reason = _unwritable(args.telemetry)
-        if reason is not None:
-            print(f"error: cannot write --telemetry {args.telemetry}: {reason}",
-                  file=sys.stderr)
-            return 2
-    telemetry = _make_telemetry(args)
-    try:
-        campaign = run_nas_campaign(
+
+    def run(telemetry):
+        return run_nas_campaign(
             args.bench, args.klass, args.regime, args.runs, base_seed=args.seed,
             provenance_path=args.provenance,
             n_jobs=args.jobs, use_cache=args.use_cache, cache_dir=args.cache_dir,
             supervise=_supervisor_config(args), resume=args.resume,
             telemetry=telemetry,
         )
-    except NoJournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(f"{campaign.label} under {args.regime}, {args.runs} runs:")
-    if campaign.results:
+
+    def report(campaign) -> None:
         times = summarize(campaign.app_times_s())
         migs = summarize([float(v) for v in campaign.migrations()], metric="count")
         switches = summarize([float(v) for v in campaign.context_switches()], metric="count")
@@ -743,18 +763,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"  ctxsw min {switches.minimum:.0f}  avg {switches.mean:.2f}  "
             f"max {switches.maximum:.0f}"
         )
-    else:
-        print("  (no repetition completed — every run is a hole)")
-    print(
-        f"  exec  {campaign.jobs} worker(s), "
-        f"{campaign.cache_hits}/{campaign.n_runs} runs from cache"
-    )
-    _print_supervision(campaign, args)
-    if args.provenance:
-        print(f"  provenance -> {args.provenance} ({campaign.n_runs} records)")
-    if args.telemetry:
-        print(f"  telemetry  -> {args.telemetry}")
-    return 0
+
+    def header(campaign) -> str:
+        return f"{campaign.label} under {args.regime}, {args.runs} runs:"
+
+    return _campaign_command(args, run, header, report)
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
@@ -860,19 +873,9 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
 
     if args.runs > 1:
         from repro.parallel.engine import CampaignRunError
-        from repro.parallel.supervisor import NoJournalError
 
-        if not _resume_usable(args):
-            return 2
-        if args.telemetry is not None:
-            reason = _unwritable(args.telemetry)
-            if reason is not None:
-                print(f"error: cannot write --telemetry {args.telemetry}: "
-                      f"{reason}", file=sys.stderr)
-                return 2
-        telemetry = _make_telemetry(args)
-        try:
-            campaign = run_cluster_campaign(
+        def run(telemetry):
+            return run_cluster_campaign(
                 lambda: program, args.nodes, args.regime, args.runs,
                 base_seed=args.seed,
                 nprocs_per_node=nprocs_per_node,
@@ -883,37 +886,29 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
                 supervise=_supervisor_config(args), resume=args.resume,
                 telemetry=telemetry,
             )
-        except NoJournalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+
+        def header(campaign) -> str:
+            n_events = sum(len(p) for p in (plans or {}).values())
+            return (f"{campaign.label} under {args.regime}, {args.runs} runs, "
+                    f"{args.nodes} node(s) + {args.spares} spare(s), "
+                    f"{n_events} planned fault event(s):")
+
+        def report(campaign) -> None:
+            times = summarize(campaign.app_times_s())
+            print(f"  time  min {times.minimum:.2f}  avg {times.mean:.2f}  "
+                  f"max {times.maximum:.2f}  var {times.variation:.2f}%")
+            print(f"  completed {len(campaign.results)}/{args.runs}  "
+                  f"detections {campaign.total('detections')}  "
+                  f"restarts {campaign.total('restarts')}  "
+                  f"failovers {campaign.total('failovers')}")
+
+        try:
+            return _campaign_command(args, run, header, report)
         except CampaignRunError as exc:
             # Expected under --ft-mode abort with a crash planned: the job
             # fail-stops by design.  Summarize instead of tracebacking.
             print(f"campaign failed: {exc}", file=sys.stderr)
             return 1
-        finally:
-            if telemetry is not None:
-                telemetry.close()
-        n_events = sum(len(p) for p in (plans or {}).values())
-        print(f"{campaign.label} under {args.regime}, {args.runs} runs, "
-              f"{args.nodes} node(s) + {args.spares} spare(s), "
-              f"{n_events} planned fault event(s):")
-        if campaign.results:
-            times = summarize(campaign.app_times_s())
-            print(f"  time  min {times.minimum:.2f}  avg {times.mean:.2f}  "
-                  f"max {times.maximum:.2f}  var {times.variation:.2f}%")
-            print(f"  completed {len(campaign.results)}/{args.runs}  "
-                  f"detections {campaign.total_detections()}  "
-                  f"restarts {campaign.total_restarts()}  "
-                  f"failovers {campaign.total_failovers()}")
-        else:
-            print("  (no repetition completed — every run is a hole)")
-        print(f"  exec  {campaign.jobs} worker(s), "
-              f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
-        _print_supervision(campaign, args)
-        if args.telemetry:
-            print(f"  telemetry  -> {args.telemetry}")
-        return 0
 
     job = ClusterJob(
         program,
@@ -1023,22 +1018,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     )
     if args.runs > 1:
         from repro.experiments.runner import run_nas_campaign
-        from repro.parallel.supervisor import NoJournalError
 
         if args.watchdog:
             print("note: --watchdog applies to single runs only; "
                   "ignored with -n > 1", file=sys.stderr)
-        if not _resume_usable(args):
-            return 2
-        if args.telemetry is not None:
-            reason = _unwritable(args.telemetry)
-            if reason is not None:
-                print(f"error: cannot write --telemetry {args.telemetry}: "
-                      f"{reason}", file=sys.stderr)
-                return 2
-        telemetry = _make_telemetry(args)
-        try:
-            campaign = run_nas_campaign(
+
+        def run(telemetry):
+            return run_nas_campaign(
                 args.bench, args.klass, args.regime, args.runs,
                 base_seed=args.seed,
                 fault_plan=plan, fault_tolerance=tolerance,
@@ -1046,16 +1032,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 supervise=_supervisor_config(args), resume=args.resume,
                 telemetry=telemetry,
             )
-        except NoJournalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        finally:
-            if telemetry is not None:
-                telemetry.close()
-        print(f"{campaign.label} under {args.regime}, {args.runs} runs, "
-              f"fault plan {plan.label!r} "
-              f"({len(plan)} events, digest {plan.digest()}):")
-        if campaign.results:
+
+        def header(campaign) -> str:
+            return (f"{campaign.label} under {args.regime}, {args.runs} runs, "
+                    f"fault plan {plan.label!r} "
+                    f"({len(plan)} events, digest {plan.digest()}):")
+
+        def report(campaign) -> None:
             times = summarize(campaign.app_times_s())
             walls = [r.wall_time / 1e6 for r in campaign.results]
             stats = [r.app_stats for r in campaign.results if r.app_stats is not None]
@@ -1070,14 +1053,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             if crashes:
                 line += f"  rank crashes {crashes}  restarts {restarts}"
             print(line)
-        else:
-            print("  (no repetition completed — every run is a hole)")
-        print(f"  exec  {campaign.jobs} worker(s), "
-              f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
-        _print_supervision(campaign, args)
-        if args.telemetry:
-            print(f"  telemetry  -> {args.telemetry}")
-        return 0
+
+        return _campaign_command(args, run, header, report)
     if args.telemetry is not None:
         print("note: --telemetry records campaign execution; "
               "ignored with -n 1", file=sys.stderr)
@@ -1156,7 +1133,6 @@ def _batch_fault_plan(args):
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.batch.campaign import run_batch_campaign
     from repro.batch.workload import WorkloadConfig
-    from repro.parallel.supervisor import NoJournalError
 
     if args.max_nodes > args.pool:
         print(f"error: --max-nodes {args.max_nodes} exceeds --pool "
@@ -1168,16 +1144,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not _resume_usable(args):
-        return 2
-    for flag, path in (("--provenance", args.provenance),
-                       ("--telemetry", args.telemetry)):
-        if path is not None:
-            reason = _unwritable(path)
-            if reason is not None:
-                print(f"error: cannot write {flag} {path}: {reason}",
-                      file=sys.stderr)
-                return 2
     workload = WorkloadConfig(
         n_jobs=args.trace_jobs,
         interarrival_us=args.interarrival,
@@ -1186,9 +1152,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     policy_params = (
         {"max_share": args.max_share} if args.policy == "share" else None
     )
-    telemetry = _make_telemetry(args)
-    try:
-        campaign = run_batch_campaign(
+
+    def run(telemetry):
+        return run_batch_campaign(
             args.policy, args.pool, args.regime, args.runs,
             base_seed=args.seed,
             workload=workload,
@@ -1204,23 +1170,21 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             supervise=_supervisor_config(args), resume=args.resume,
             telemetry=telemetry,
         )
-    except NoJournalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(f"batch {args.policy} on {args.pool} nodes under {args.regime}, "
-          f"{args.runs} trace(s) x {args.trace_jobs} jobs "
-          f"({args.runtime_model} runtimes):")
-    if campaign.results:
+
+    def header(campaign) -> str:
+        return (f"batch {args.policy} on {args.pool} nodes under {args.regime}, "
+                f"{args.runs} trace(s) x {args.trace_jobs} jobs "
+                f"({args.runtime_model} runtimes):")
+
+    def report(campaign) -> None:
+        results = campaign.results
         # waits legitimately bottom out at 0 (a job that starts the instant
         # it is submitted), so use the counter variation semantics
-        waits = summarize([w / 1000 for w in campaign.mean_waits_us()],
+        waits = summarize([r.mean_wait_us / 1000 for r in results],
                           metric="count")
-        bslds = summarize(campaign.mean_bslds())
-        spans = summarize([m / 1000 for m in campaign.makespans_us()])
-        utils = summarize(campaign.utilizations())
+        bslds = summarize([r.mean_bsld for r in results])
+        spans = summarize([r.makespan_us / 1000 for r in results])
+        utils = summarize([r.utilization for r in results])
         print(f"  wait (ms)  min {waits.minimum:.2f}  avg {waits.mean:.2f}  "
               f"max {waits.maximum:.2f}")
         print(f"  bsld       min {bslds.minimum:.2f}  avg {bslds.mean:.2f}  "
@@ -1229,26 +1193,18 @@ def _cmd_batch(args: argparse.Namespace) -> int:
               f"max {spans.maximum:.1f}  (ms)")
         print(f"  util       min {utils.minimum:.3f}  avg {utils.mean:.3f}  "
               f"max {utils.maximum:.3f}")
-        print(f"  traffic    backfills {campaign.total_backfills()}  "
-              f"colocations {campaign.total_colocations()}  "
-              f"kills {campaign.total_kills()}")
+        print(f"  traffic    backfills {campaign.total('backfills')}  "
+              f"colocations {campaign.total('colocations')}  "
+              f"kills {campaign.total('kills')}")
         if fault_plan is not None:
             print(f"  faults     plan '{fault_plan.label}' "
                   f"({len(fault_plan)} event(s))  "
-                  f"requeues {campaign.total_requeues()}  "
-                  f"preempts {campaign.total_preempts()}  "
-                  f"failed {campaign.total_failed()}  "
-                  f"node-lost {campaign.total_node_lost_us() / 1000:.1f} ms")
-    else:
-        print("  (no repetition completed — every run is a hole)")
-    print(f"  exec  {campaign.jobs} worker(s), "
-          f"{campaign.cache_hits}/{campaign.n_runs} runs from cache")
-    _print_supervision(campaign, args)
-    if args.provenance:
-        print(f"  provenance -> {args.provenance} ({campaign.n_runs} records)")
-    if args.telemetry:
-        print(f"  telemetry  -> {args.telemetry}")
-    return 0
+                  f"requeues {campaign.total('requeues')}  "
+                  f"preempts {campaign.total('preempts')}  "
+                  f"failed {campaign.total('failed')}  "
+                  f"node-lost {campaign.total('node_lost_us') / 1000:.1f} ms")
+
+    return _campaign_command(args, run, header, report)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

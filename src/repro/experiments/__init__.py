@@ -6,7 +6,6 @@ is indexed in DESIGN.md §4 and exercised by ``benchmarks/``.
 
 from repro.experiments.runner import (
     CampaignResult,
-    ClusterCampaignResult,
     run_campaign,
     run_cluster_campaign,
     run_nas,
@@ -21,7 +20,6 @@ from repro.experiments.sweeps import (
 
 __all__ = [
     "CampaignResult",
-    "ClusterCampaignResult",
     "run_campaign",
     "run_cluster_campaign",
     "run_nas",

@@ -216,7 +216,7 @@ def batch_resilience_campaign(
                     for r in campaign.results
                 ]
                 total_jobs = sum(r.n_jobs for r in campaign.results)
-                failed = campaign.total_failed()
+                failed = campaign.total("failed")
                 rows.append(
                     BatchResilienceRow(
                         policy=policy,
@@ -224,18 +224,18 @@ def batch_resilience_campaign(
                         intensity=intensity,
                         n_runs=campaign.n_runs,
                         mean_response_ms=mean(responses) / 1000,
-                        mean_wait_ms=mean(campaign.mean_waits_us()) / 1000,
-                        mean_bsld=mean(campaign.mean_bslds()),
-                        utilization=mean(campaign.utilizations()),
+                        mean_wait_ms=mean(r.mean_wait_us for r in campaign.results) / 1000,
+                        mean_bsld=mean(r.mean_bsld for r in campaign.results),
+                        utilization=mean(r.utilization for r in campaign.results),
                         completed_frac=(
                             (total_jobs - failed) / total_jobs
                             if total_jobs else 0.0
                         ),
-                        requeues=campaign.total_requeues(),
-                        preempts=campaign.total_preempts(),
+                        requeues=campaign.total("requeues"),
+                        preempts=campaign.total("preempts"),
                         failed=failed,
-                        kills=campaign.total_kills(),
-                        node_lost_ms=campaign.total_node_lost_us() / 1000,
+                        kills=campaign.total("kills"),
+                        node_lost_ms=campaign.total("node_lost_us") / 1000,
                     )
                 )
     return BatchResilienceResult(

@@ -35,7 +35,6 @@ from repro.faults import ClusterTolerance, FaultEvent, FaultKind, FaultPlan
 from repro.experiments.runner import (
     _JOB_START,
     CampaignResult,
-    ClusterCampaignResult,
     run_campaign,
     run_cluster_campaign,
 )
@@ -265,7 +264,7 @@ class ClusterResilienceResult:
 
 
 def _cluster_row(
-    regime: str, scenario: str, campaign: ClusterCampaignResult, base_mean: float
+    regime: str, scenario: str, campaign: CampaignResult, base_mean: float
 ) -> ClusterResilienceRow:
     times = campaign.app_times_s()
     mean_s = mean(times)
@@ -278,9 +277,9 @@ def _cluster_row(
         min_s=min(times),
         max_s=max(times),
         slowdown=mean_s / base_mean if base_mean > 0 else 1.0,
-        detections=campaign.total_detections(),
-        restarts=campaign.total_restarts(),
-        failovers=campaign.total_failovers(),
+        detections=campaign.total("detections"),
+        restarts=campaign.total("restarts"),
+        failovers=campaign.total("failovers"),
         shrinks=sum(r.shrinks for r in campaign.results),
         mean_lost_ms=mean(r.lost_work_us for r in campaign.results) / 1000,
         mean_recovery_ms=mean(r.recovery_time_us for r in campaign.results) / 1000,

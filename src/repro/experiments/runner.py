@@ -10,8 +10,8 @@ uses common random numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.units import SEC, msecs, secs
 from repro.sim.engine import Simulator
@@ -32,6 +32,7 @@ from repro.faults import (
     StarvationWatchdog,
     WatchdogConfig,
 )
+from repro.parallel.driver import CampaignResult, run_specs
 
 __all__ = [
     "KERNEL_VARIANTS",
@@ -49,7 +50,6 @@ __all__ = [
     "run_campaign",
     "run_nas_campaign",
     "CampaignResult",
-    "ClusterCampaignResult",
     "build_cluster_specs",
     "run_cluster_campaign",
 ]
@@ -388,39 +388,6 @@ def run_nas_faulted(
     )
 
 
-@dataclass
-class CampaignResult:
-    """N repetitions of one configuration."""
-
-    label: str
-    regime: str
-    results: List[JobResult]
-    #: Worker processes the campaign executed on (1 = in-process serial).
-    jobs: int = 1
-    #: Repetitions answered from the result cache instead of simulated.
-    cache_hits: int = 0
-    #: Run indices salvaged as explicit holes under ``allow_partial``
-    #: (empty on complete campaigns).
-    holes: List[int] = field(default_factory=list)
-    #: Retry attempts the supervisor performed beyond first attempts.
-    retries: int = 0
-    #: Repetitions replayed from the crash-safe journal on ``--resume``.
-    replayed: int = 0
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.results)
-
-    def app_times_s(self) -> List[float]:
-        return [r.app_time_s for r in self.results]
-
-    def migrations(self) -> List[int]:
-        return [r.cpu_migrations for r in self.results]
-
-    def context_switches(self) -> List[int]:
-        return [r.context_switches for r in self.results]
-
-
 def _derive_seed(base_seed: int, run_index: int) -> int:
     # Any injective-enough mixing works; keep it explicit and stable.
     # Pure integer arithmetic — never hash() — so derived seeds are equal
@@ -501,6 +468,8 @@ def build_campaign_specs(
         raise ValueError(
             f"unknown regime {regime!r}; choose from {sorted(KERNEL_VARIANTS)}"
         )
+    if fault_plan is not None and fault_plan_factory is not None:
+        raise ValueError("pass fault_plan or fault_plan_factory, not both")
     specs: List[RunSpec] = []
     for i in range(n_runs):
         seed = _derive_seed(base_seed, i)
@@ -538,28 +507,12 @@ def run_campaign(
     kernel_config: Optional[KernelConfig] = None,
     cold_speed: Optional[float] = None,
     rewarm_scale: float = 1.0,
-    label: str = "",
-    provenance_path: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
     fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
-    telemetry: Optional["CampaignTelemetry"] = None,
+    **options,
 ) -> CampaignResult:
-    """Run *n_runs* independent repetitions.
-
-    With *provenance_path*, one JSONL record per run is streamed to that
-    file as the campaign progresses (schema: :mod:`repro.obs.provenance`),
-    so a partial campaign still leaves an auditable trail; a
-    ``<path>.meta.json`` sidecar records the execution metadata (worker
-    count, cache hits, retries, holes, resume) without perturbing the
-    per-run records.
+    """Run *n_runs* independent repetitions of one node-level configuration.
 
     Faults: *fault_plan* applies the same plan to every repetition;
     *fault_plan_factory* is called as ``factory(run_index, seed)`` for a
@@ -568,56 +521,28 @@ def run_campaign(
     recovery metrics), so faulted and fault-free campaigns remain
     distinguishable in the audit trail forever.
 
-    Parallelism: *n_jobs* fans the repetitions across a process pool
-    (``None`` = ``os.cpu_count()``; ``1`` = the in-process serial loop).
-    Results and provenance are merged in run-index order, so every output
-    is byte-identical whatever *n_jobs* is.  *use_cache* consults the
-    content-addressed result cache (:mod:`repro.parallel.cache`) so
-    unchanged repetitions skip simulation; *progress* is called with
-    ``(completed, total)`` after every repetition.
-
-    Supervision: every campaign runs under the supervised layer
-    (:func:`~repro.parallel.supervisor.supervise_campaign`); *supervise*
-    overrides its configuration (per-run ``timeout_s``, ``retry`` policy,
-    ``allow_partial``).  With the cache enabled, per-run completion is
-    additionally journaled to ``<cache>/journal/<campaign-digest>.jsonl``
-    so a crashed campaign can be *resumed*: journal-confirmed indices
-    replay from the cache and only the remainder executes, byte-identical
-    to an uninterrupted run.  *resume* without a cache raises
-    :class:`~repro.parallel.supervisor.NoJournalError` (there is nothing
-    to replay from); *resume* with no matching journal raises the same
-    unless *resume_missing_ok* — the lenient mode multi-campaign drivers
-    (experiments, sweeps) use so that campaigns the crashed invocation
-    never reached simply start fresh.
-
-    Telemetry: *telemetry* (a
-    :class:`~repro.obs.telemetry.CampaignTelemetry`) receives the
-    campaign's execution events — per-run queue-wait/wall time, retries,
-    timeouts, pool health, cache traffic — as a streaming JSONL sidecar.
-    The caller owns (and closes) the object; this function brackets the
-    feed with ``campaign_started``/``campaign_finished`` and threads the
-    sink through the supervisor and the result cache.  Telemetry never
-    touches results or provenance: both stay bit-identical with it on.
+    The remaining keywords (``label``, ``provenance_path``, ``n_jobs``,
+    ``use_cache``, ``cache_dir``, ``progress``, ``supervise``, ``resume``,
+    ``resume_missing_ok``, ``telemetry``) are those of
+    :func:`~repro.parallel.driver.run_specs`, which runs the campaign.
     """
-    import time as _time
+    from repro.obs.provenance import run_record
 
-    from repro.obs.provenance import append_record, campaign_record, run_record
-    from repro.parallel.cache import ResultCache
-    from repro.parallel.engine import resolve_jobs
-    from repro.parallel.supervisor import (
-        NoJournalError,
-        SupervisorConfig,
-        campaign_digest,
-        journal_path_for,
-        supervise_campaign,
-    )
-
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    if fault_plan is not None and fault_plan_factory is not None:
-        raise ValueError("pass fault_plan or fault_plan_factory, not both")
     variant = KERNEL_VARIANTS.get(regime, (regime, ""))[0]
     booted_config = resolve_kernel_config(variant, kernel_config)
+
+    def record_fn(record, bench: str) -> Dict[str, object]:
+        return run_record(
+            record.result,
+            bench=bench,
+            regime=regime,
+            run_index=record.run_index,
+            seed=record.seed,
+            variant=variant,
+            config=booted_config,
+            faults=record.faults,
+        )
+
     specs = build_campaign_specs(
         program_factory,
         nprocs,
@@ -633,139 +558,25 @@ def run_campaign(
         fault_plan_factory=fault_plan_factory,
         fault_tolerance=fault_tolerance,
     )
-    jobs = resolve_jobs(n_jobs)
-    cache = (
-        ResultCache(
-            cache_dir,
-            metrics=telemetry.registry if telemetry is not None else None,
-        )
-        if use_cache
-        else None
-    )
-    if resume and cache is None:
-        raise NoJournalError(
-            "<caching disabled> — --resume replays finished runs from the "
-            "result cache, so it cannot be combined with --no-cache"
-        )
-    journal_path = (
-        journal_path_for(cache.root, campaign_digest(specs))
-        if cache is not None
-        else None
-    )
-    if resume and resume_missing_ok and journal_path is not None:
-        if not journal_path.is_file():
-            resume = False  # nothing to replay; run this campaign fresh
-    config = supervise or SupervisorConfig()
-    started_at = _time.time()
-
-    prov_fh = open(provenance_path, "w", encoding="utf-8") if provenance_path else None
-
-    def on_record(record) -> None:
-        if prov_fh is None:
-            return
-        append_record(
-            prov_fh,
-            run_record(
-                record.result,
-                bench=label or record.result.program_name,
-                regime=regime,
-                run_index=record.run_index,
-                seed=record.seed,
-                variant=variant,
-                config=booted_config,
-                faults=record.faults,
-            ),
-        )
-
-    if telemetry is not None:
-        telemetry.campaign_started(
-            label=label or specs[0].program.name,
-            regime=regime,
-            n_runs=n_runs,
-            jobs=jobs,
-        )
-    try:
-        supervised = supervise_campaign(
-            specs,
-            _execute_spec,
-            n_jobs=jobs,
-            cache=cache,
-            config=config,
-            progress=progress,
-            on_record=on_record,
-            journal_path=journal_path,
-            resume=resume,
-            telemetry=telemetry,
-        )
-    finally:
-        if prov_fh is not None:
-            prov_fh.close()
-    if telemetry is not None:
-        telemetry.campaign_finished(replayed=supervised.replayed)
-
-    records = supervised.records
-    results = [r.result for r in records]
-    cache_hits = sum(1 for r in records if r.cache_hit)
-    misses = n_runs - cache_hits - len(supervised.holes)
-    if provenance_path:
-        meta = campaign_record(
-            bench=label or (results[0].program_name if results else ""),
-            regime=regime,
-            n_runs=n_runs,
-            base_seed=base_seed,
-            jobs=jobs,
-            cache_hits=cache_hits,
-            cache_misses=misses,
-            started_at=started_at,
-            finished_at=_time.time(),
-            retries=supervised.retries,
-            timeouts=supervised.timeouts,
-            pool_shrinks=supervised.pool_shrinks,
-            holes=[h.as_dict() for h in supervised.holes],
-            resumed=resume,
-            replayed=supervised.replayed,
-        )
-        with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
-            import json as _json
-
-            _json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return CampaignResult(
-        label=label or (results[0].program_name if results else ""),
+    return run_specs(
+        specs,
+        _execute_spec,
+        record_fn=record_fn,
         regime=regime,
-        results=results,
-        jobs=jobs,
-        cache_hits=cache_hits,
-        holes=supervised.hole_indices,
-        retries=supervised.retries,
-        replayed=supervised.replayed,
+        base_seed=base_seed,
+        **options,
     )
 
 
 def run_nas_campaign(
-    name: str,
-    klass: str,
-    regime: str,
-    n_runs: int,
-    *,
-    base_seed: int = 0,
-    noise: Optional[NoiseProfile] = None,
-    kernel_config: Optional[KernelConfig] = None,
-    provenance_path: Optional[str] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    fault_plan_factory: Optional[Callable[[int, int], FaultPlan]] = None,
-    fault_tolerance: Optional[FaultTolerance] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
-    telemetry: Optional["CampaignTelemetry"] = None,
+    name: str, klass: str, regime: str, n_runs: int, **options
 ) -> CampaignResult:
     """The paper's unit of measurement: N runs of one NAS benchmark under
-    one regime (paper: N=1000)."""
+    one regime (paper: N=1000).  Keywords are :func:`run_campaign`'s, less
+    ``machine_factory``: the programs are built for the POWER6 node."""
+    if "machine_factory" in options:
+        raise TypeError("run_nas_campaign() got an unexpected keyword argument "
+                        "'machine_factory'")
     spec = nas_spec(name, klass)
 
     def factory() -> Program:
@@ -776,24 +587,10 @@ def run_nas_campaign(
         spec.nprocs,
         regime,
         n_runs,
-        base_seed=base_seed,
-        noise=noise,
-        kernel_config=kernel_config,
         cold_speed=spec.cold_speed,
         rewarm_scale=spec.rewarm_scale,
         label=spec.label,
-        provenance_path=provenance_path,
-        fault_plan=fault_plan,
-        fault_plan_factory=fault_plan_factory,
-        fault_tolerance=fault_tolerance,
-        n_jobs=n_jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        progress=progress,
-        supervise=supervise,
-        resume=resume,
-        resume_missing_ok=resume_missing_ok,
-        telemetry=telemetry,
+        **options,
     )
 
 
@@ -860,36 +657,6 @@ def _execute_cluster_spec(spec: "ClusterRunSpec") -> Tuple["ClusterResult", Opti
             "recovery_time_us": result.recovery_time_us,
         }
     return result, faults
-
-
-@dataclass
-class ClusterCampaignResult:
-    """N repetitions of one multi-node configuration."""
-
-    label: str
-    regime: str
-    results: List["ClusterResult"]
-    jobs: int = 1
-    cache_hits: int = 0
-    holes: List[int] = field(default_factory=list)
-    retries: int = 0
-    replayed: int = 0
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.results)
-
-    def app_times_s(self) -> List[float]:
-        return [r.app_time_s for r in self.results]
-
-    def total_detections(self) -> int:
-        return sum(r.detections for r in self.results)
-
-    def total_restarts(self) -> int:
-        return sum(r.restarts for r in self.results)
-
-    def total_failovers(self) -> int:
-        return sum(r.failovers for r in self.results)
 
 
 def build_cluster_specs(
@@ -981,49 +748,41 @@ def run_cluster_campaign(
     ] = None,
     tolerance: Optional[ClusterTolerance] = None,
     spare_nodes: int = 0,
-    label: str = "",
-    provenance_path: Optional[str] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    cache_dir: Optional[str] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
-    supervise: Optional["SupervisorConfig"] = None,
-    resume: bool = False,
-    resume_missing_ok: bool = False,
     telemetry: Optional["CampaignTelemetry"] = None,
-) -> ClusterCampaignResult:
+    **options,
+) -> CampaignResult:
     """Run *n_runs* independent multi-node repetitions.
 
-    The cluster analogue of :func:`run_campaign`, sharing the same
-    execution fabric — the supervised parallel engine, the content-
-    addressed result cache, journal/resume, streaming telemetry — so every
-    invariant that holds for single-node campaigns (bit-identical results
-    at any ``--jobs``, cache soundness, auditable holes) holds here too.
-    Provenance records use :func:`~repro.obs.provenance.cluster_run_record`
-    (``kind: "cluster"``); faulted repetitions additionally bump the
+    The cluster analogue of :func:`run_campaign`, on the same driver
+    (:func:`~repro.parallel.driver.run_specs`, whose keywords the
+    remaining *options* are), so every invariant that holds for
+    single-node campaigns (bit-identical results at any ``--jobs``, cache
+    soundness, auditable holes) holds here too.  Provenance records use
+    :func:`~repro.obs.provenance.cluster_run_record` (``kind:
+    "cluster"``); faulted repetitions additionally bump the
     ``cluster.detections`` / ``cluster.restarts`` / ``cluster.failovers``
     telemetry counters, so a resilience campaign's recovery traffic shows
     up in the metrics snapshot next to cache and retry counts.
     """
-    import time as _time
+    from repro.obs.provenance import cluster_run_record
 
-    from repro.obs.provenance import (
-        append_record,
-        campaign_record,
-        cluster_run_record,
-    )
-    from repro.parallel.cache import ResultCache
-    from repro.parallel.engine import resolve_jobs
-    from repro.parallel.supervisor import (
-        NoJournalError,
-        SupervisorConfig,
-        campaign_digest,
-        journal_path_for,
-        supervise_campaign,
-    )
+    def record_fn(record, bench: str) -> Dict[str, object]:
+        return cluster_run_record(
+            record.result,
+            bench=bench,
+            regime=regime,
+            run_index=record.run_index,
+            seed=record.seed,
+            faults=record.faults,
+        )
 
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    def on_record(record) -> None:
+        if record.faults and telemetry is not None:
+            reg = telemetry.registry
+            reg.counter("cluster.detections").inc(record.faults["detections"])
+            reg.counter("cluster.restarts").inc(record.faults["restarts"])
+            reg.counter("cluster.failovers").inc(record.faults["failovers"])
+
     specs = build_cluster_specs(
         program_factory,
         n_nodes,
@@ -1040,114 +799,13 @@ def run_cluster_campaign(
         tolerance=tolerance,
         spare_nodes=spare_nodes,
     )
-    jobs = resolve_jobs(n_jobs)
-    cache = (
-        ResultCache(
-            cache_dir,
-            metrics=telemetry.registry if telemetry is not None else None,
-        )
-        if use_cache
-        else None
-    )
-    if resume and cache is None:
-        raise NoJournalError(
-            "<caching disabled> — --resume replays finished runs from the "
-            "result cache, so it cannot be combined with --no-cache"
-        )
-    journal_path = (
-        journal_path_for(cache.root, campaign_digest(specs))
-        if cache is not None
-        else None
-    )
-    if resume and resume_missing_ok and journal_path is not None:
-        if not journal_path.is_file():
-            resume = False  # nothing to replay; run this campaign fresh
-    config = supervise or SupervisorConfig()
-    started_at = _time.time()
-    bench = label or specs[0].program.name
-
-    prov_fh = open(provenance_path, "w", encoding="utf-8") if provenance_path else None
-
-    def on_record(record) -> None:
-        if record.faults and telemetry is not None:
-            reg = telemetry.registry
-            reg.counter("cluster.detections").inc(record.faults["detections"])
-            reg.counter("cluster.restarts").inc(record.faults["restarts"])
-            reg.counter("cluster.failovers").inc(record.faults["failovers"])
-        if prov_fh is None:
-            return
-        append_record(
-            prov_fh,
-            cluster_run_record(
-                record.result,
-                bench=bench,
-                regime=regime,
-                run_index=record.run_index,
-                seed=record.seed,
-                faults=record.faults,
-            ),
-        )
-
-    if telemetry is not None:
-        telemetry.campaign_started(
-            label=label or specs[0].program.name,
-            regime=regime,
-            n_runs=n_runs,
-            jobs=jobs,
-        )
-    try:
-        supervised = supervise_campaign(
-            specs,
-            _execute_cluster_spec,
-            n_jobs=jobs,
-            cache=cache,
-            config=config,
-            progress=progress,
-            on_record=on_record,
-            journal_path=journal_path,
-            resume=resume,
-            telemetry=telemetry,
-        )
-    finally:
-        if prov_fh is not None:
-            prov_fh.close()
-    if telemetry is not None:
-        telemetry.campaign_finished(replayed=supervised.replayed)
-
-    records = supervised.records
-    results = [r.result for r in records]
-    cache_hits = sum(1 for r in records if r.cache_hit)
-    misses = n_runs - cache_hits - len(supervised.holes)
-    if provenance_path:
-        meta = campaign_record(
-            bench=label or specs[0].program.name,
-            regime=regime,
-            n_runs=n_runs,
-            base_seed=base_seed,
-            jobs=jobs,
-            cache_hits=cache_hits,
-            cache_misses=misses,
-            started_at=started_at,
-            finished_at=_time.time(),
-            retries=supervised.retries,
-            timeouts=supervised.timeouts,
-            pool_shrinks=supervised.pool_shrinks,
-            holes=[h.as_dict() for h in supervised.holes],
-            resumed=resume,
-            replayed=supervised.replayed,
-        )
-        with open(provenance_path + ".meta.json", "w", encoding="utf-8") as fh:
-            import json as _json
-
-            _json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return ClusterCampaignResult(
-        label=label or specs[0].program.name,
+    return run_specs(
+        specs,
+        _execute_cluster_spec,
+        record_fn=record_fn,
+        on_record=on_record,
         regime=regime,
-        results=results,
-        jobs=jobs,
-        cache_hits=cache_hits,
-        holes=supervised.hole_indices,
-        retries=supervised.retries,
-        replayed=supervised.replayed,
+        base_seed=base_seed,
+        telemetry=telemetry,
+        **options,
     )

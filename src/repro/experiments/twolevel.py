@@ -154,14 +154,14 @@ def two_level_campaign(
                     policy=policy,
                     regime=regime,
                     n_runs=campaign.n_runs,
-                    mean_wait_ms=mean(campaign.mean_waits_us()) / 1000,
+                    mean_wait_ms=mean(r.mean_wait_us for r in campaign.results) / 1000,
                     mean_response_ms=mean(responses) / 1000,
-                    mean_bsld=mean(campaign.mean_bslds()),
-                    mean_makespan_ms=mean(campaign.makespans_us()) / 1000,
-                    utilization=mean(campaign.utilizations()),
-                    backfills=campaign.total_backfills(),
-                    colocations=campaign.total_colocations(),
-                    kills=campaign.total_kills(),
+                    mean_bsld=mean(r.mean_bsld for r in campaign.results),
+                    mean_makespan_ms=mean(r.makespan_us for r in campaign.results) / 1000,
+                    utilization=mean(r.utilization for r in campaign.results),
+                    backfills=campaign.total("backfills"),
+                    colocations=campaign.total("colocations"),
+                    kills=campaign.total("kills"),
                 )
             )
     return TwoLevelResult(

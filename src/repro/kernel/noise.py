@@ -5,9 +5,13 @@ interference with *controlled* noise injection: periodic bursts of given
 frequency and duration on chosen CPUs.  This module provides that instrument
 for the simulator: deterministic (non-stochastic) noise generators, used by
 
-* the noise-resonance experiment (``repro.cluster``): fine-grained noise
-  hurts fine-grained applications, coarse noise hurts coarse applications;
+* the coordinated-noise bench (``benchmarks/test_bench_coordinated_noise.py``,
+  the ``ex-coord`` experiment): co-scheduled versus uncoordinated bursts of
+  the same total amount;
 * unit tests that need an exactly-known amount of interference.
+
+No package module imports it: the cluster noise-resonance model
+(:mod:`repro.cluster.resonance`) works from measured delay profiles instead.
 
 Unlike :mod:`repro.kernel.daemons` (ecologically realistic, stochastic),
 injected noise is strictly periodic and therefore reproduces the

@@ -1,37 +1,19 @@
-"""Process-pool campaign execution: deterministic seed fan-out.
+"""Campaign execution vocabulary shared by the supervisor and the driver.
 
-The engine takes the campaign's repetitions as a list of picklable
-:class:`~repro.parallel.jobspec.RunSpec` and a module-level *worker*
-function, and executes them across ``n_jobs`` processes.  The contract:
-
-* **Ordering.**  Results are merged and emitted strictly in run-index
-  order, whatever order workers finish in — so campaign outputs and the
-  provenance JSONL are byte-identical to a serial run (each repetition's
-  RNG streams derive from its own seed; nothing leaks between runs).
-* **Legacy path.**  ``n_jobs=1`` never touches ``multiprocessing``: it is
-  the plain in-process loop the serial runner always was.
-* **Chunked dispatch.**  At most ``chunk_factor × n_jobs`` repetitions are
-  in flight, so a 1000-run campaign neither floods the executor queue nor
-  holds every pickled result alive at once.
-* **Crash surfacing.**  A repetition that raises is re-raised as
-  :class:`CampaignRunError` naming the run index, seed and config digest —
-  enough to replay it serially.  A worker process that *dies* (segfault,
-  OOM-kill) surfaces as :class:`WorkerPoolError` listing every in-flight
-  repetition instead of a bare ``BrokenProcessPool``.
-* **Caching.**  With a :class:`~repro.parallel.cache.ResultCache`, each
-  spec's digest is looked up first; hits skip simulation entirely and
-  misses are stored on completion, so a warm re-run executes zero
-  simulations.
+:class:`RunRecord` is one merged repetition; :class:`CampaignRunError`
+names a failed repetition (run index, seed, spec digest) so it can be
+replayed serially; :class:`WorkerPoolError` reports a worker process that
+died, listing every in-flight repetition instead of a bare
+``BrokenProcessPool``.  Execution itself — ordering, caching, retry,
+journaling — lives in :func:`repro.parallel.supervisor.supervise_campaign`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.parallel.cache import ResultCache
 from repro.parallel.jobspec import RunSpec
 
 __all__ = [
@@ -39,7 +21,6 @@ __all__ = [
     "CampaignRunError",
     "WorkerPoolError",
     "resolve_jobs",
-    "execute_campaign",
 ]
 
 #: A worker maps one spec to ``(result, faults-dict-or-None)``.
@@ -136,156 +117,3 @@ def resolve_jobs(n_jobs: Optional[int]) -> int:
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     return n_jobs
-
-
-def _emit_ready(
-    pending: Dict[int, RunRecord],
-    next_index: List[int],
-    ordered: List[RunRecord],
-    on_record: Optional[Callable[[RunRecord], None]],
-) -> None:
-    """Flush the contiguous prefix of *pending* in run-index order."""
-    while next_index[0] in pending:
-        record = pending.pop(next_index[0])
-        ordered.append(record)
-        if on_record is not None:
-            on_record(record)
-        next_index[0] += 1
-
-
-def execute_campaign(
-    specs: Sequence[RunSpec],
-    worker: Worker,
-    *,
-    n_jobs: Optional[int] = 1,
-    cache: Optional[ResultCache] = None,
-    progress: Optional[ProgressFn] = None,
-    on_record: Optional[Callable[[RunRecord], None]] = None,
-    chunk_factor: int = 4,
-) -> List[RunRecord]:
-    """Execute every spec; return records ordered by run index.
-
-    *worker* must be a module-level function (it crosses the process
-    boundary by reference).  *on_record* fires in run-index order as soon
-    as each record's predecessors are all complete — this is where the
-    campaign runner streams provenance, preserving the serial runner's
-    partial-campaign audit trail.  *progress* fires on every completion
-    (any order) with monotonically increasing ``completed``.
-    """
-    n_jobs = resolve_jobs(n_jobs)
-    if chunk_factor < 1:
-        raise ValueError("chunk_factor must be >= 1")
-    total = len(specs)
-    ordered: List[RunRecord] = []
-    pending: Dict[int, RunRecord] = {}
-    next_index = [specs[0].run_index if specs else 0]
-    completed = 0
-
-    def finish(record: RunRecord) -> None:
-        nonlocal completed
-        completed += 1
-        if cache is not None and not record.cache_hit:
-            cache.put(record.digest, record.result, record.faults)
-        pending[record.run_index] = record
-        _emit_ready(pending, next_index, ordered, on_record)
-        if progress is not None:
-            progress(completed, total)
-
-    # Cache pass: every hit is settled up front, misses remain to execute.
-    to_run: List[Tuple[RunSpec, str]] = []
-    settled: List[RunRecord] = []
-    for spec in specs:
-        digest = spec.digest() if cache is not None else ""
-        if cache is not None:
-            found = cache.get(digest)
-            if found is not None:
-                result, faults = found
-                settled.append(
-                    RunRecord(
-                        run_index=spec.run_index,
-                        seed=spec.seed,
-                        digest=digest,
-                        result=result,
-                        faults=faults,
-                        cache_hit=True,
-                    )
-                )
-                continue
-        to_run.append((spec, digest))
-
-    if n_jobs == 1 or len(to_run) <= 1:
-        # Exact legacy serial path: one loop, in submission order, no pool.
-        # Hits/misses interleave in run-index order so streaming still works.
-        by_index = {spec.run_index: (spec, digest) for spec, digest in to_run}
-        hits = {r.run_index: r for r in settled}
-        for spec in specs:
-            if spec.run_index in hits:
-                finish(hits[spec.run_index])
-                continue
-            spec, digest = by_index[spec.run_index]
-            try:
-                result, faults = worker(spec)
-            except Exception as exc:
-                raise CampaignRunError(
-                    spec.run_index, spec.seed, digest or spec.digest(), exc
-                ) from exc
-            finish(
-                RunRecord(
-                    run_index=spec.run_index,
-                    seed=spec.seed,
-                    digest=digest,
-                    result=result,
-                    faults=faults,
-                )
-            )
-        return ordered
-
-    for record in settled:
-        finish(record)
-
-    window = chunk_factor * n_jobs
-    queue = list(to_run)
-    submitted = 0
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(queue))) as pool:
-        futures: Dict[object, Tuple[RunSpec, str]] = {}
-
-        def submit_next() -> None:
-            nonlocal submitted
-            while submitted < len(queue) and len(futures) < window:
-                spec, digest = queue[submitted]
-                futures[pool.submit(worker, spec)] = (spec, digest)
-                submitted += 1
-
-        submit_next()
-        while futures:
-            done, _ = wait(futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                spec, digest = futures.pop(future)
-                try:
-                    result, faults = future.result()
-                except Exception as exc:
-                    if type(exc).__name__ == "BrokenProcessPool":
-                        in_flight = [s for s, _ in futures.values()] + [spec]
-                        in_flight.sort(key=lambda s: s.run_index)
-                        procs = list(getattr(pool, "_processes", {}).values())
-                        raise WorkerPoolError(
-                            in_flight,
-                            exc,
-                            pool_size=getattr(pool, "_max_workers", None),
-                            survivors=sum(1 for p in procs if p.is_alive()),
-                        ) from exc
-                    raise CampaignRunError(
-                        spec.run_index, spec.seed, digest or spec.digest(), exc
-                    ) from exc
-                finish(
-                    RunRecord(
-                        run_index=spec.run_index,
-                        seed=spec.seed,
-                        digest=digest,
-                        result=result,
-                        faults=faults,
-                    )
-                )
-            submit_next()
-
-    return ordered

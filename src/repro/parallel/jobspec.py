@@ -111,6 +111,11 @@ class RunSpec:
     fault_plan: Optional[FaultPlan] = None
     fault_tolerance: Optional[FaultTolerance] = None
 
+    @property
+    def label(self) -> str:
+        """The campaign label when the caller names none."""
+        return self.program.name
+
     def fingerprint(self) -> Dict[str, object]:
         """Everything simulation-relevant, as deterministic plain data.
 
@@ -171,6 +176,11 @@ class ClusterRunSpec:
     fault_plans: Optional[Tuple[Tuple[int, FaultPlan], ...]] = None
     tolerance: Optional[ClusterTolerance] = None
     spare_nodes: int = 0
+
+    @property
+    def label(self) -> str:
+        """The campaign label when the caller names none."""
+        return self.program.name
 
     def fingerprint(self) -> Dict[str, object]:
         """Everything simulation-relevant, as deterministic plain data
@@ -244,6 +254,11 @@ class BatchRunSpec:
     #: Rigid placement rule: "lowest" (historical) or "wary"
     #: (deprioritize recently-failed nodes).
     placement: str = "lowest"
+
+    @property
+    def label(self) -> str:
+        """The campaign label when the caller names none."""
+        return f"batch-{self.policy}"
 
     def fingerprint(self) -> Dict[str, object]:
         """Everything schedule-relevant, as deterministic plain data

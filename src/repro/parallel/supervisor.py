@@ -1,10 +1,9 @@
 """Supervised campaign execution: timeouts, seeded retry, crash-safe resume.
 
-The parallel engine (:mod:`repro.parallel.engine`) is fast but brittle by
-design: one hung run, one dead worker, or a SIGKILL'd parent loses the whole
-campaign.  This module wraps the same dispatch contract in a supervisor that
-treats the *execution harness* as a system to be made fault-tolerant in its
-own right:
+A bare process-pool fan-out is brittle: one hung run, one dead worker, or a
+SIGKILL'd parent loses the whole campaign.  Every campaign therefore runs
+through :func:`supervise_campaign`, which treats the *execution harness* as
+a system to be made fault-tolerant in its own right:
 
 * **Per-run timeouts.**  Each repetition gets a wall-clock budget.  In a
   worker process the budget is enforced by a POSIX interval timer armed
@@ -38,9 +37,9 @@ own right:
   way, the resumed campaign's results and provenance are byte-identical to
   an uninterrupted run.
 
-The supervisor preserves the engine's ordering contract exactly: records
-(and therefore provenance JSONL) are emitted strictly in run-index order,
-byte-identical to a serial run at any worker count.
+Ordering contract: records (and therefore provenance JSONL) are emitted
+strictly in run-index order, byte-identical to a serial run at any worker
+count.
 """
 
 from __future__ import annotations
@@ -346,6 +345,9 @@ class SupervisedResult:
     pool_shrinks: int = 0
     #: Runs replayed from the journal + cache instead of executed.
     replayed: int = 0
+    #: Whether a journal was resumed (False when a lenient resume found
+    #: none and the campaign ran fresh).
+    resumed: bool = False
 
     @property
     def hole_indices(self) -> List[int]:
@@ -362,9 +364,11 @@ def campaign_digest(specs: Sequence[RunSpec]) -> str:
     package version) moves this digest, so a journal can never resume a
     different campaign than the one that wrote it.
     """
-    return stable_digest(
-        {"n_runs": len(specs), "runs": [s.digest() for s in specs]}
-    )
+    return _campaign_digest([s.digest() for s in specs])
+
+
+def _campaign_digest(digests: Sequence[str]) -> str:
+    return stable_digest({"n_runs": len(digests), "runs": list(digests)})
 
 
 def journal_path_for(cache_root, digest: str) -> Path:
@@ -542,6 +546,7 @@ class _Supervisor:
         specs: Sequence[RunSpec],
         worker: Worker,
         *,
+        digests: Sequence[str],
         n_jobs: int,
         cache: Optional[ResultCache],
         config: SupervisorConfig,
@@ -554,6 +559,7 @@ class _Supervisor:
         telemetry=None,
     ) -> None:
         self.specs = specs
+        self.digests = digests
         self.worker = worker
         self.n_jobs = n_jobs
         self.cache = cache
@@ -696,8 +702,7 @@ class _Supervisor:
         settled: List[RunRecord] = []
         journal_done: Set[int] = set(self.replayable)
         started = time.monotonic()
-        for spec in self.specs:
-            digest = spec.digest() if self.cache is not None else ""
+        for spec, digest in zip(self.specs, self.digests):
             if self.cache is not None:
                 found = self.cache.get(digest)
                 if found is not None:
@@ -964,26 +969,36 @@ def supervise_campaign(
     config: Optional[SupervisorConfig] = None,
     progress: Optional[ProgressFn] = None,
     on_record: Optional[Callable[[RunRecord], None]] = None,
-    journal_path=None,
     resume: bool = False,
+    resume_missing_ok: bool = False,
     chunk_factor: int = 4,
     sleep: Callable[[float], None] = time.sleep,
     telemetry=None,
 ) -> SupervisedResult:
     """Execute every spec under supervision; records ordered by run index.
 
-    Same contract as :func:`repro.parallel.engine.execute_campaign` — same
-    worker signature, same strict run-index-order ``on_record`` streaming,
-    byte-identical outputs at any ``n_jobs`` — plus the supervision layer:
-    per-run timeouts (``config.timeout_s``), classified seeded retry
-    (``config.retry``), graceful pool degradation, partial salvage
-    (``config.allow_partial``) and crash-safe journaling (*journal_path*).
+    *worker* must be a module-level function mapping one spec to
+    ``(result, faults-or-None)`` (it crosses the process boundary by
+    reference).  Records are emitted strictly in run-index order: each
+    fires *on_record* as soon as all its predecessors are complete,
+    whatever order workers finish in, so outputs are byte-identical at any
+    ``n_jobs`` (``1`` never touches ``multiprocessing``).  *progress* fires
+    on every completion with a monotonically increasing count.  On top
+    sit per-run timeouts (``config.timeout_s``), classified seeded retry
+    (``config.retry``), graceful pool degradation and partial salvage
+    (``config.allow_partial``).
 
-    With *resume*, run indices the journal confirms done are replayed from
-    the cache (counted in :attr:`SupervisedResult.replayed`); a confirmed
-    index whose cache entry has meanwhile vanished or been quarantined is
-    simply re-executed.  *sleep* is injectable so tests can observe backoff
-    schedules without waiting them out.
+    With a *cache*, each spec is hashed exactly once: that digest list
+    names the campaign, locates its crash-safe journal under the cache
+    root, and keys the cache lookups — hits skip execution, misses are
+    stored on completion.  With *resume*, run indices the journal confirms
+    done are replayed from the cache (counted in
+    :attr:`SupervisedResult.replayed`); a confirmed index whose cache entry
+    has meanwhile vanished or been quarantined is simply re-executed.  A
+    missing journal raises :class:`NoJournalError` unless
+    *resume_missing_ok*, in which case the campaign runs fresh.  *sleep*
+    is injectable so tests can observe backoff schedules without waiting
+    them out.
 
     *telemetry*, when given, is a
     :class:`repro.obs.telemetry.CampaignTelemetry`-shaped sink: the
@@ -997,13 +1012,18 @@ def supervise_campaign(
         raise ValueError("chunk_factor must be >= 1")
     config = config or SupervisorConfig()
 
+    digests = [""] * len(specs)
     journal: Optional[CampaignJournal] = None
     replayable: Dict[int, str] = {}
-    if journal_path is not None:
-        digest = campaign_digest(specs)
-        if resume:
-            if not Path(journal_path).is_file():
+    if cache is not None:
+        digests = [spec.digest() for spec in specs]
+        digest = _campaign_digest(digests)
+        journal_path = journal_path_for(cache.root, digest)
+        if resume and not journal_path.is_file():
+            if not resume_missing_ok:
                 raise NoJournalError(str(journal_path))
+            resume = False  # nothing to replay; run this campaign fresh
+        if resume:
             replayable = CampaignJournal.read_done(journal_path, digest)
         journal = CampaignJournal(
             journal_path, digest, len(specs), resume=resume
@@ -1014,6 +1034,7 @@ def supervise_campaign(
     supervisor = _Supervisor(
         specs,
         worker,
+        digests=digests,
         n_jobs=n_jobs,
         cache=cache,
         config=config,
@@ -1026,7 +1047,9 @@ def supervise_campaign(
         telemetry=telemetry,
     )
     try:
-        return supervisor.run()
+        result = supervisor.run()
     finally:
         if journal is not None:
             journal.close()
+    result.resumed = resume
+    return result

@@ -10,17 +10,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
-from repro.batch.campaign import (
-    BatchCampaignResult,
-    build_batch_specs,
-    run_batch_campaign,
-)
+from repro.batch.campaign import build_batch_specs, run_batch_campaign
 from repro.batch.workload import WorkloadConfig
 from repro.obs.provenance import batch_run_record
 from repro.obs.telemetry import CampaignTelemetry
+from repro.parallel import CampaignResult
 
 N_RUNS = 4
 
@@ -42,14 +40,32 @@ def _run(tmp, *, n_jobs=1, use_cache=False, resume=False, policy="easy",
 
 def test_campaign_runs_and_aggregates(tmp_path):
     prov, result = _run(str(tmp_path))
-    assert isinstance(result, BatchCampaignResult)
+    assert isinstance(result, CampaignResult)
     assert result.n_runs == N_RUNS
-    assert result.policy == "easy"
-    assert len(result.mean_waits_us()) == N_RUNS
+    assert result.label == "batch-easy"
+    assert len([r.mean_wait_us for r in result.results]) == N_RUNS
     assert all(r.n_jobs == _WL.n_jobs for r in result.results)
     # repetitions use distinct derived seeds -> distinct traces
     digests = {r.schedule_digest() for r in result.results}
     assert len(digests) == N_RUNS
+
+
+def test_total_sums_fields_and_rejects_unknown_names(tmp_path):
+    _, result = _run(str(tmp_path))
+    assert result.total("kills") == sum(r.kills for r in result.results)
+    with pytest.raises(AttributeError):
+        result.total("failovers")  # a cluster field, not a batch one
+
+
+def test_total_reads_class_default_of_result_pickled_before_field(tmp_path):
+    _, result = _run(str(tmp_path))
+    old = result.results[0]
+    del old.__dict__["requeues"]  # as unpickled from before the field existed
+    revived = pickle.loads(pickle.dumps(old))
+    assert "requeues" not in revived.__dict__
+    campaign = CampaignResult(label="batch-easy", regime="stock",
+                              results=[revived])
+    assert campaign.total("requeues") == 0
 
 
 def test_provenance_byte_identical_serial_vs_parallel(tmp_path):
@@ -106,8 +122,8 @@ def test_telemetry_counters_flow(tmp_path):
     _, result = _run(str(tmp_path), policy="share", telemetry=tel)
     reg = tel.registry
     assert (reg.counter("batch.colocations").value
-            == result.total_colocations())
-    assert reg.counter("batch.kills").value == result.total_kills()
+            == result.total("colocations"))
+    assert reg.counter("batch.kills").value == result.total("kills")
     assert (reg.gauge("batch.queue_depth").high_water
             == max(r.queue_depth_peak for r in result.results))
 

@@ -6,7 +6,7 @@ simple to state — pops come out in exactly ``(time, priority, seq)``
 order, ``len`` counts live events — and easy to get subtly wrong in the
 rung/ladder machinery (carves, tail evictions, consumed-prefix
 compaction).  So the historical heap is kept verbatim as
-:class:`repro.sim.events.BinaryHeapEventQueue` and used here as a
+:class:`tests.heap_oracle.BinaryHeapEventQueue` and used here as a
 differential oracle: Hypothesis drives both queues through identical
 schedule/cancel/pop/clear interleavings and demands identical behavior.
 
@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.events import BinaryHeapEventQueue, EventQueue
+from repro.sim.events import EventQueue
+from tests.heap_oracle import BinaryHeapEventQueue
 
 
 def _noop() -> None:

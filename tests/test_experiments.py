@@ -20,6 +20,7 @@ from repro.experiments.tables import (
 )
 from repro.apps.spmd import Program
 from repro.kernel.daemons import quiet_profile
+from repro.topology.presets import power6_js22
 from repro.units import msecs
 
 SMALL = 4  # campaign size for harness mechanics tests
@@ -83,6 +84,9 @@ def test_quiet_noise_override():
 def test_campaign_validation():
     with pytest.raises(ValueError):
         run_nas_campaign("is", "A", "stock", 0)
+    # NAS programs are built for the POWER6 node; another machine is refused.
+    with pytest.raises(TypeError, match="machine_factory"):
+        run_nas_campaign("is", "A", "stock", 1, machine_factory=power6_js22)
 
 
 # ------------------------------------------------------------------ figures

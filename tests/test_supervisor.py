@@ -305,9 +305,7 @@ def test_journal_roundtrip(tmp_path):
     digest = campaign_digest(specs)
     path = journal_path_for(tmp_path, digest)
     cache = ResultCache(str(tmp_path))
-    result = supervise_campaign(
-        specs, _ok, n_jobs=1, cache=cache, journal_path=path,
-    )
+    result = supervise_campaign(specs, _ok, n_jobs=1, cache=cache)
     assert len(result.records) == 4
     done = CampaignJournal.read_done(path, digest)
     assert sorted(done) == [0, 1, 2, 3]
@@ -319,7 +317,7 @@ def test_journal_rejects_foreign_digest(tmp_path):
     digest = campaign_digest(specs)
     path = journal_path_for(tmp_path, digest)
     cache = ResultCache(str(tmp_path))
-    supervise_campaign(specs, _ok, n_jobs=1, cache=cache, journal_path=path)
+    supervise_campaign(specs, _ok, n_jobs=1, cache=cache)
     # A different campaign (other base seed) must confirm nothing.
     other = campaign_digest(_specs(3, base_seed=7))
     assert CampaignJournal.read_done(path, other) == {}
@@ -330,7 +328,7 @@ def test_journal_tolerates_torn_trailing_line(tmp_path):
     digest = campaign_digest(specs)
     path = journal_path_for(tmp_path, digest)
     cache = ResultCache(str(tmp_path))
-    supervise_campaign(specs, _ok, n_jobs=1, cache=cache, journal_path=path)
+    supervise_campaign(specs, _ok, n_jobs=1, cache=cache)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"run_index": 99, "status": "do')  # SIGKILL mid-write
     done = CampaignJournal.read_done(path, digest)
@@ -354,19 +352,18 @@ def test_campaign_digest_moves_with_any_spec_change():
 def test_resume_without_journal_raises(tmp_path):
     specs = _specs(2, base_seed=6)
     path = journal_path_for(tmp_path, campaign_digest(specs))
-    with pytest.raises(NoJournalError):
+    with pytest.raises(NoJournalError) as excinfo:
         supervise_campaign(
             specs, _ok, n_jobs=1, cache=ResultCache(str(tmp_path)),
-            journal_path=path, resume=True,
+            resume=True,
         )
+    assert excinfo.value.path == str(path)
 
 
 def test_resume_replays_journaled_runs(tmp_path):
     specs = _specs(4, base_seed=8)
-    digest = campaign_digest(specs)
-    path = journal_path_for(tmp_path, digest)
     cache = ResultCache(str(tmp_path))
-    supervise_campaign(specs, _ok, n_jobs=1, cache=cache, journal_path=path)
+    supervise_campaign(specs, _ok, n_jobs=1, cache=cache)
 
     calls = []
 
@@ -375,8 +372,7 @@ def test_resume_replays_journaled_runs(tmp_path):
         return spec.seed * 2, None
 
     resumed = supervise_campaign(
-        specs, counting, n_jobs=1, cache=cache,
-        journal_path=path, resume=True,
+        specs, counting, n_jobs=1, cache=cache, resume=True,
     )
     assert calls == []  # nothing re-executed
     assert resumed.replayed == 4
@@ -385,10 +381,8 @@ def test_resume_replays_journaled_runs(tmp_path):
 
 def test_resume_reexecutes_evicted_cache_entries(tmp_path):
     specs = _specs(4, base_seed=8)
-    digest = campaign_digest(specs)
-    path = journal_path_for(tmp_path, digest)
     cache = ResultCache(str(tmp_path))
-    supervise_campaign(specs, _ok, n_jobs=1, cache=cache, journal_path=path)
+    supervise_campaign(specs, _ok, n_jobs=1, cache=cache)
     # The journal says run 1 finished, but its cache entry is gone.
     cache.path_for(specs[1].digest()).unlink()
 
@@ -399,8 +393,7 @@ def test_resume_reexecutes_evicted_cache_entries(tmp_path):
         return spec.seed * 2, None
 
     resumed = supervise_campaign(
-        specs, counting, n_jobs=1, cache=cache,
-        journal_path=path, resume=True,
+        specs, counting, n_jobs=1, cache=cache, resume=True,
     )
     assert calls == [1]  # only the evicted run re-executes
     assert resumed.replayed == 3
