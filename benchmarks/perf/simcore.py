@@ -210,7 +210,7 @@ def _macro_nas(
     several can be gated at a 15% tolerance.
     """
     from repro.apps.nas import nas_program, nas_spec
-    from repro.experiments.runner import _run_job
+    from repro.experiments.runner import run_job
     from repro.topology.presets import power6_js22
 
     machine = power6_js22()
@@ -219,7 +219,7 @@ def _macro_nas(
     def run() -> Tuple[float, float]:
         program = nas_program(spec, machine)
         t0 = time.perf_counter()
-        job = _run_job(
+        done = run_job(
             program,
             spec.nprocs,
             regime,
@@ -228,7 +228,7 @@ def _macro_nas(
             cold_speed=spec.cold_speed,
             rewarm_scale=spec.rewarm_scale,
         )
-        return job.kernel.sim.events_processed, time.perf_counter() - t0
+        return done.kernel.sim.events_processed, time.perf_counter() - t0
 
     return _metric("events/s", run, reps, inner)
 

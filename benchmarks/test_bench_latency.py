@@ -9,15 +9,15 @@ a time.
 """
 
 from benchmarks.conftest import save_artifact
-from repro.experiments.runner import run_nas_observed
+from repro.experiments.runner import run_nas_job
 from repro.obs import render_latency_table
 
 
 def test_latency_stock_vs_hpl(benchmark, bench_seed, artifact_dir):
     def run_both():
         return (
-            run_nas_observed("ep", "A", "stock", seed=bench_seed),
-            run_nas_observed("ep", "A", "hpl", seed=bench_seed),
+            run_nas_job("ep", "A", "stock", seed=bench_seed, with_latency=True),
+            run_nas_job("ep", "A", "hpl", seed=bench_seed, with_latency=True),
         )
 
     stock, hpl = benchmark.pedantic(run_both, rounds=1, iterations=1)

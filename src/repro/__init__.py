@@ -17,8 +17,8 @@ Quickstart::
 
     from repro import run_nas
 
-    stock = run_nas("ep", "A", kernel="stock", seed=1)
-    hpl = run_nas("ep", "A", kernel="hpl", seed=1)
+    stock = run_nas("ep", "A", "stock", seed=1)
+    hpl = run_nas("ep", "A", "hpl", seed=1)
     print(stock.app_time_s, stock.cpu_migrations, stock.context_switches)
     print(hpl.app_time_s, hpl.cpu_migrations, hpl.context_switches)
 """

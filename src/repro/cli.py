@@ -213,6 +213,13 @@ def _supervisor_config(args: argparse.Namespace):
     )
 
 
+def _exec_options(args: argparse.Namespace) -> dict:
+    """The execution keywords (workers, cache, supervision, resume) that
+    the flags of :func:`_add_exec_flags` ask for."""
+    return dict(n_jobs=args.jobs, use_cache=args.use_cache,
+                supervise=_supervisor_config(args), resume=args.resume)
+
+
 def _resume_usable(args: argparse.Namespace) -> bool:
     """Exit-2 precondition for --resume: it replays from the result cache,
     so --no-cache makes it meaningless.  Journal existence is checked by the
@@ -574,7 +581,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_stat(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_observed
+    from repro.experiments.runner import run_nas_job
     from repro.obs import render_stat
 
     profilers: list = []
@@ -586,9 +593,9 @@ def _cmd_stat(args: argparse.Namespace) -> int:
             profilers.append(SimProfiler(kernel.sim))
 
         observed_kwargs["instrument"] = attach_profiler
-    run = run_nas_observed(
-        args.bench, args.klass, args.regime, seed=args.seed, with_trace=False,
-        **observed_kwargs,
+    run = run_nas_job(
+        args.bench, args.klass, args.regime, seed=args.seed,
+        with_latency=True, with_counters=True, **observed_kwargs,
     )
     if args.ranks_only and run.kernel.perf.task_counters is not None:
         wanted = set(run.rank_pids)
@@ -614,13 +621,10 @@ def _cmd_stat(args: argparse.Namespace) -> int:
 
 
 def _cmd_latency(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_observed
+    from repro.experiments.runner import run_nas_job
     from repro.obs import render_latency_table
 
-    run = run_nas_observed(
-        args.bench, args.klass, args.regime, seed=args.seed,
-        with_trace=False, with_counters=False,
-    )
+    run = run_nas_job(args.bench, args.klass, args.regime, seed=args.seed, with_latency=True)
     pids = None if args.all_tasks else run.rank_pids
     print(
         f"{run.result.program_name} under {args.regime} (seed {args.seed}) — "
@@ -641,7 +645,7 @@ def _cmd_latency(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_nas_observed
+    from repro.experiments.runner import run_nas_job
     from repro.obs import trace_to_chrome, trace_to_ftrace
 
     if _unknown_bench(args.bench, args.klass):
@@ -650,10 +654,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if reason is not None:
         print(f"error: cannot write -o {args.output}: {reason}", file=sys.stderr)
         return 2
-    run = run_nas_observed(
-        args.bench, args.klass, args.regime, seed=args.seed,
-        with_latency=False, with_counters=False,
-    )
+    run = run_nas_job(args.bench, args.klass, args.regime, seed=args.seed, with_trace=True)
     trace = run.observer.trace
     if args.fmt == "chrome":
         import json
@@ -742,10 +743,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     def run(telemetry):
         return run_nas_campaign(
             args.bench, args.klass, args.regime, args.runs, base_seed=args.seed,
-            provenance_path=args.provenance,
-            n_jobs=args.jobs, use_cache=args.use_cache, cache_dir=args.cache_dir,
-            supervise=_supervisor_config(args), resume=args.resume,
-            telemetry=telemetry,
+            provenance_path=args.provenance, cache_dir=args.cache_dir,
+            telemetry=telemetry, **_exec_options(args),
         )
 
     def report(campaign) -> None:
@@ -882,9 +881,7 @@ def _cmd_faults_cluster(args: argparse.Namespace) -> int:
                 fault_plans=plans, tolerance=tolerance,
                 spare_nodes=args.spares,
                 label=f"{spec.label}@{args.nodes}n",
-                n_jobs=args.jobs, use_cache=args.use_cache,
-                supervise=_supervisor_config(args), resume=args.resume,
-                telemetry=telemetry,
+                telemetry=telemetry, **_exec_options(args),
             )
 
         def header(campaign) -> str:
@@ -959,7 +956,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.units import msecs
     from repro.topology.presets import power6_js22
     from repro.apps.nas import nas_spec
-    from repro.experiments.runner import _JOB_START, run_nas_faulted
+    from repro.experiments.runner import _JOB_START, run_nas_job
     from repro.faults import FaultEvent, FaultKind, FaultPlan, FaultTolerance
 
     if args.cluster:
@@ -1028,9 +1025,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 args.bench, args.klass, args.regime, args.runs,
                 base_seed=args.seed,
                 fault_plan=plan, fault_tolerance=tolerance,
-                n_jobs=args.jobs, use_cache=args.use_cache,
-                supervise=_supervisor_config(args), resume=args.resume,
-                telemetry=telemetry,
+                telemetry=telemetry, **_exec_options(args),
             )
 
         def header(campaign) -> str:
@@ -1058,7 +1053,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.telemetry is not None:
         print("note: --telemetry records campaign execution; "
               "ignored with -n 1", file=sys.stderr)
-    run = run_nas_faulted(
+    run = run_nas_job(
         args.bench, args.klass, args.regime, seed=args.seed,
         fault_plan=plan, fault_tolerance=tolerance,
         with_watchdog=args.watchdog,
@@ -1164,11 +1159,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             job_retries=args.job_retries,
             restart_cost_us=args.restart_cost,
             placement=args.placement,
-            provenance_path=args.provenance,
-            n_jobs=args.jobs, use_cache=args.use_cache,
-            cache_dir=args.cache_dir,
-            supervise=_supervisor_config(args), resume=args.resume,
-            telemetry=telemetry,
+            provenance_path=args.provenance, cache_dir=args.cache_dir,
+            telemetry=telemetry, **_exec_options(args),
         )
 
     def header(campaign) -> str:
@@ -1221,11 +1213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "smt": smt_factor_sweep,
         "spin": spin_threshold_sweep,
     }[args.which]
-    result = runner(
-        n_runs=args.runs, base_seed=args.seed,
-        n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
-    )
+    result = runner(n_runs=args.runs, base_seed=args.seed, **_exec_options(args))
     print(result.render())
     return 0
 
@@ -1235,10 +1223,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     if not _resume_usable(args):
         return 2
-    print(generate_report(
-        args.runs, args.seed, n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
-    ))
+    print(generate_report(args.runs, args.seed, **_exec_options(args)))
     return 0
 
 
@@ -1248,9 +1233,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not _resume_usable(args):
         return 2
     written = export_figures(
-        args.out_dir, n_runs=args.runs, seed=args.seed,
-        n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
+        args.out_dir, n_runs=args.runs, seed=args.seed, **_exec_options(args)
     )
     for path in written:
         print(f"wrote {path}")
@@ -1268,10 +1251,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     if not _resume_usable(args):
         return 2
-    result = exp.run(
-        args.runs, args.seed, n_jobs=args.jobs, use_cache=args.use_cache,
-        supervise=_supervisor_config(args), resume=args.resume,
-    )
+    result = exp.run(args.runs, args.seed, **_exec_options(args))
     print(result.render())  # type: ignore[attr-defined]
     return 0
 

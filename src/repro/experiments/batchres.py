@@ -146,21 +146,23 @@ def batch_resilience_campaign(
     runtime_model: str = "sim",
     job_retries: int = 2,
     restart_cost_us: int = 2_000,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> BatchResilienceResult:
     """Cross policies x regimes x fault intensities over seeded traces.
 
     Every cell runs through :func:`~repro.batch.campaign.run_batch_campaign`
     — cached, supervised, journal-lenient — so faulted cells parallelize,
     cache and resume exactly like reliable ones (the CI determinism gate
-    diffs a faulted cell's provenance across worker counts).
+    diffs a faulted cell's provenance across worker counts).  *options*
+    are the execution keywords
+    (:func:`~repro.experiments.runner.campaign_options`).
     """
     from repro.batch.campaign import run_batch_campaign
     from repro.batch.workload import WorkloadConfig
+    from repro.experiments.runner import campaign_options
     from repro.faults.plan import FaultPlan
+
+    options = campaign_options(options)
 
     if workload is None:
         # Same regime as the two-level experiment: arrivals outpace the
@@ -207,9 +209,7 @@ def batch_resilience_campaign(
                     job_retries=job_retries,
                     restart_cost_us=restart_cost_us,
                     label=f"batch-res-{policy}-{intensity}",
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
-                    resume_missing_ok=True,
+                    **options,
                 )
                 responses = [
                     mean(o.response for o in r.jobs)

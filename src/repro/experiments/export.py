@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.analysis.stats import summarize
 from repro.analysis.svg import histogram_svg, scatter_svg
-from repro.experiments.runner import CampaignResult, run_nas_campaign
+from repro.experiments.runner import CampaignResult, campaign_options, run_nas_campaign
 
 __all__ = ["campaign_to_csv", "campaign_to_json", "export_figures"]
 
@@ -99,30 +99,25 @@ def export_figures(
     seed: int = 7,
     stock_campaign: Optional[CampaignResult] = None,
     rt_campaign: Optional[CampaignResult] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> List[Path]:
     """Write figure2.svg, figure3a.svg, figure3b.svg, figure4.svg (and the
     CSVs behind them) into *out_dir*; returns the written paths.
 
     Pass pre-run campaigns to reuse data (the benchmark harness does).
-    *n_jobs*/*use_cache* parallelize and cache the underlying campaigns, so
-    a re-export with unchanged inputs runs zero simulations."""
+    *options* are the execution keywords
+    (:func:`~repro.experiments.runner.campaign_options`): with the result
+    cache on, a re-export with unchanged inputs runs zero simulations."""
+    options = campaign_options(options)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
 
     stock = stock_campaign or run_nas_campaign(
-        "ep", "A", "stock", n_runs, base_seed=seed,
-        n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume, resume_missing_ok=True,
+        "ep", "A", "stock", n_runs, base_seed=seed, **options
     )
     rt = rt_campaign or run_nas_campaign(
-        "ep", "A", "rt", n_runs, base_seed=seed,
-        n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume, resume_missing_ok=True,
+        "ep", "A", "rt", n_runs, base_seed=seed, **options
     )
 
     def write(name: str, content: str) -> None:

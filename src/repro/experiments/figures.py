@@ -15,7 +15,7 @@ from repro.units import msecs, secs, to_seconds
 from repro.analysis.correlation import CorrelationReport, correlate
 from repro.analysis.histogram import Histogram, build_histogram, render_ascii_histogram
 from repro.analysis.stats import RunStatistics, summarize
-from repro.experiments.runner import CampaignResult, run_nas_campaign
+from repro.experiments.runner import CampaignResult, campaign_options, run_nas_campaign
 
 __all__ = [
     "figure1",
@@ -180,14 +180,10 @@ class HistogramFigure:
 
 
 def _histogram_figure(
-    regime: str, n_runs: int, seed: int, label: str, n_bins: int,
-    n_jobs: Optional[int] = 1, use_cache: bool = False,
-    supervise=None, resume: bool = False,
+    regime: str, n_runs: int, seed: int, label: str, n_bins: int, options
 ) -> HistogramFigure:
     campaign = run_nas_campaign(
-        "ep", "A", regime, n_runs, base_seed=seed,
-        n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume, resume_missing_ok=True,
+        "ep", "A", regime, n_runs, base_seed=seed, **campaign_options(options)
     )
     times = campaign.app_times_s()
     return HistogramFigure(
@@ -200,28 +196,23 @@ def _histogram_figure(
 
 
 def figure2(
-    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40,
-    n_jobs: Optional[int] = 1, use_cache: bool = False,
-    supervise=None, resume: bool = False,
+    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40, **options
 ) -> HistogramFigure:
     """Fig. 2: ep.A.8 execution-time distribution under stock Linux —
-    expected shape: right-skewed, max/min ≈ 1.7x."""
+    expected shape: right-skewed, max/min ≈ 1.7x.  *options* are the
+    execution keywords (:func:`~repro.experiments.runner.campaign_options`)."""
     return _histogram_figure(
-        "stock", n_runs, seed, "Figure 2: ep.A.8 stock Linux", n_bins,
-        n_jobs=n_jobs, use_cache=use_cache, supervise=supervise, resume=resume,
+        "stock", n_runs, seed, "Figure 2: ep.A.8 stock Linux", n_bins, options
     )
 
 
 def figure4(
-    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40,
-    n_jobs: Optional[int] = 1, use_cache: bool = False,
-    supervise=None, resume: bool = False,
+    n_runs: int = 100, *, seed: int = 0, n_bins: int = 40, **options
 ) -> HistogramFigure:
     """Fig. 4: ep.A.8 under the RT scheduler — tighter than Fig. 2 but with
     a residual tail (RT balancing + migration daemon)."""
     return _histogram_figure(
-        "rt", n_runs, seed, "Figure 4: ep.A.8 RT scheduler", n_bins,
-        n_jobs=n_jobs, use_cache=use_cache, supervise=supervise, resume=resume,
+        "rt", n_runs, seed, "Figure 4: ep.A.8 RT scheduler", n_bins, options
     )
 
 
@@ -259,20 +250,14 @@ def figure3(
     *,
     seed: int = 0,
     campaign: Optional[CampaignResult] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> Figure3Result:
     """Fig. 3a/3b: positive relation between ep.A.8 execution time and the
     two software events, under stock Linux.  Pass ``campaign`` to reuse the
     Figure-2 run (the paper uses the same 1000 executions for both)."""
+    options = campaign_options(options)
     if campaign is None:
-        campaign = run_nas_campaign(
-            "ep", "A", "stock", n_runs, base_seed=seed,
-            n_jobs=n_jobs, use_cache=use_cache,
-            supervise=supervise, resume=resume, resume_missing_ok=True,
-        )
+        campaign = run_nas_campaign("ep", "A", "stock", n_runs, base_seed=seed, **options)
     times = campaign.app_times_s()
     return Figure3Result(
         migrations=correlate(

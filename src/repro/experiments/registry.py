@@ -6,8 +6,9 @@ benchmark harness can enumerate them uniformly.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "list_experiments"]
 
@@ -19,81 +20,30 @@ class Experiment:
     exp_id: str
     paper_artifact: str
     description: str
-    #: fn(n_runs, seed, *, n_jobs=1, use_cache=False, supervise=None,
-    #: resume=False) -> object with a .render() method.  Every regenerator
-    #: accepts the execution keywords (worker count, cache, supervisor
-    #: config, journal resume); the ones whose artifact is a single run
-    #: simply ignore them.
+    #: fn(n_runs, seed, **options) -> object with a .render() method.  The
+    #: options are the execution keywords (worker count, cache, supervisor
+    #: config, journal resume; see
+    #: :func:`~repro.experiments.runner.campaign_options`): campaign-running
+    #: artifacts forward them to every campaign, single-run ones check them
+    #: and run without.
     run: Callable[..., object]
 
 
-def _fig1(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.figures import figure1
-
-    return figure1(seed=seed)
-
-
-def _fig2(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.figures import figure2
-
-    return figure2(n_runs, seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                   supervise=supervise, resume=resume)
+def _fn(path: str) -> Callable[..., object]:
+    """``module:function`` under :mod:`repro`, imported when the experiment
+    runs (listing the registry must not load every regenerator)."""
+    module, name = path.split(":")
+    return getattr(importlib.import_module(f"repro.{module}"), name)
 
 
-def _fig3(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.figures import figure3
+def _single_run(build: Callable[[int], object]) -> Callable[..., object]:
+    """A registry entry for an artifact of single runs: *build(seed)*."""
 
-    return figure3(n_runs, seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                   supervise=supervise, resume=resume)
+    def run(n_runs: int, seed: int, **options) -> object:
+        _fn("experiments.runner:campaign_options")(options)
+        return build(seed)
 
-
-def _fig4(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.figures import figure4
-
-    return figure4(n_runs, seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                   supervise=supervise, resume=resume)
-
-
-def _tab1a(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.tables import table1
-
-    return table1(
-        "stock", n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
-
-
-def _tab1b(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.tables import table1
-
-    return table1(
-        "hpl", n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
-
-
-def _tab2(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.tables import table2
-
-    return table2(n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-                  supervise=supervise, resume=resume)
-
-
-def _policy(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.tables import policy_comparison
-
-    return policy_comparison(
-        "ep", "A", n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    return run
 
 
 class _ResonanceResult:
@@ -113,8 +63,7 @@ class _ResonanceResult:
         return "\n".join(lines)
 
 
-def _resonance(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _resonance(seed: int) -> _ResonanceResult:
     from repro.cluster.resonance import spare_core_comparison
 
     curves = spare_core_comparison([1, 8, 64, 512, 4096], seed=seed)
@@ -133,8 +82,7 @@ class _MultinodeResult:
         return "\n".join(lines)
 
 
-def _multinode(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _multinode(seed: int) -> _MultinodeResult:
     from repro.apps.spmd import Program
     from repro.cluster.multinode import run_cluster_job
     from repro.units import msecs
@@ -161,48 +109,7 @@ class _DecompositionResult:
         return "\n".join(lines)
 
 
-def _resilience(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.resilience import resilience_campaign
-
-    return resilience_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
-
-
-def _cluster_resilience(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.resilience import cluster_resilience_campaign
-
-    return cluster_resilience_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
-
-
-def _two_level(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.twolevel import two_level_campaign
-
-    return two_level_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
-
-
-def _batch_resilience(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
-    from repro.experiments.batchres import batch_resilience_campaign
-
-    return batch_resilience_campaign(
-        n_runs=n_runs, base_seed=seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
-
-
-def _decomposition(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cache: bool = False,
-          supervise=None, resume: bool = False):
+def _decomposition(seed: int) -> _DecompositionResult:
     from repro.analysis.decomposition import decompose_nas_noise
 
     rows = []
@@ -218,70 +125,86 @@ def _decomposition(n_runs: int, seed: int, *, n_jobs: Optional[int] = 1, use_cac
 EXPERIMENTS: Dict[str, Experiment] = {
     "fig1": Experiment(
         "fig1", "Figure 1",
-        "Effect of preempting one rank on a whole parallel application", _fig1,
+        "Effect of preempting one rank on a whole parallel application",
+        _single_run(lambda seed: _fn("experiments.figures:figure1")(seed=seed)),
     ),
     "fig2": Experiment(
         "fig2", "Figure 2",
-        "ep.A.8 execution-time distribution, stock Linux", _fig2,
+        "ep.A.8 execution-time distribution, stock Linux",
+        lambda n, seed, **o: _fn("experiments.figures:figure2")(n, seed=seed, **o),
     ),
     "fig3": Experiment(
         "fig3", "Figures 3a/3b",
-        "ep.A.8 time vs cpu-migrations and context-switches", _fig3,
+        "ep.A.8 time vs cpu-migrations and context-switches",
+        lambda n, seed, **o: _fn("experiments.figures:figure3")(n, seed=seed, **o),
     ),
     "fig4": Experiment(
         "fig4", "Figure 4",
-        "ep.A.8 execution-time distribution, RT scheduler", _fig4,
+        "ep.A.8 execution-time distribution, RT scheduler",
+        lambda n, seed, **o: _fn("experiments.figures:figure4")(n, seed=seed, **o),
     ),
     "tab1a": Experiment(
         "tab1a", "Table Ia",
-        "Scheduler OS noise (migrations, switches), stock Linux", _tab1a,
+        "Scheduler OS noise (migrations, switches), stock Linux",
+        lambda n, seed, **o: _fn("experiments.tables:table1")(
+            "stock", n_runs=n, base_seed=seed, **o),
     ),
     "tab1b": Experiment(
         "tab1b", "Table Ib",
-        "Scheduler OS noise (migrations, switches), HPL", _tab1b,
+        "Scheduler OS noise (migrations, switches), HPL",
+        lambda n, seed, **o: _fn("experiments.tables:table1")(
+            "hpl", n_runs=n, base_seed=seed, **o),
     ),
     "tab2": Experiment(
         "tab2", "Table II",
-        "NAS execution times, stock vs HPL", _tab2,
+        "NAS execution times, stock vs HPL",
+        lambda n, seed, **o: _fn("experiments.tables:table2")(n_runs=n, base_seed=seed, **o),
     ),
     "policy": Experiment(
         "policy", "SS IV discussion",
-        "ep.A.8 under CFS / nice / RT / pinned / HPL", _policy,
+        "ep.A.8 under CFS / nice / RT / pinned / HPL",
+        lambda n, seed, **o: _fn("experiments.tables:policy_comparison")(
+            "ep", "A", n_runs=n, base_seed=seed, **o),
     ),
     "resonance": Experiment(
         "resonance", "SS II / SS VI (Petrini)",
-        "Noise resonance across cluster sizes; spare-core comparison", _resonance,
+        "Noise resonance across cluster sizes; spare-core comparison",
+        _single_run(_resonance),
     ),
     "multinode": Experiment(
         "multinode", "SS II (extension)",
-        "Multi-node co-simulation: resonance measured directly", _multinode,
+        "Multi-node co-simulation: resonance measured directly",
+        _single_run(_multinode),
     ),
     "decompose": Experiment(
         "decompose", "SS III (extension)",
-        "Direct vs indirect (cache) noise decomposition", _decomposition,
+        "Direct vs indirect (cache) noise decomposition",
+        _single_run(_decomposition),
     ),
     "resilience": Experiment(
         "resilience", "SS IV (robustness extension)",
         "Graceful degradation: 0/1/2 cores offlined mid-run, stock vs HPL",
-        _resilience,
+        lambda n, seed, **o: _fn("experiments.resilience:resilience_campaign")(n, seed, **o),
     ),
     "cluster-resilience": Experiment(
         "cluster-resilience", "SS II (fault-domain extension)",
         "Multi-node recovery: node crash, straggler, degraded link — "
         "stock vs HPL vs RT",
-        _cluster_resilience,
+        lambda n, seed, **o: _fn("experiments.resilience:cluster_resilience_campaign")(
+            n, seed, **o),
     ),
     "two-level": Experiment(
         "two-level", "SS VI (two-level scheduling extension)",
         "Batch policies (FCFS/EASY/priority/share) x node regimes: does "
         "HPL's noise-immunity survive packing, backfilling, co-location?",
-        _two_level,
+        lambda n, seed, **o: _fn("experiments.twolevel:two_level_campaign")(n, seed, **o),
     ),
     "batch-resilience": Experiment(
         "batch-resilience", "SS VI (robustness extension)",
         "Batch policies x node regimes x fault intensity: node failures, "
         "drains, requeue with checkpoint-aware restart",
-        _batch_resilience,
+        lambda n, seed, **o: _fn("experiments.batchres:batch_resilience_campaign")(
+            n, seed, **o),
     ),
 }
 

@@ -35,6 +35,7 @@ from repro.faults import ClusterTolerance, FaultEvent, FaultKind, FaultPlan
 from repro.experiments.runner import (
     _JOB_START,
     CampaignResult,
+    campaign_options,
     run_campaign,
     run_cluster_campaign,
 )
@@ -140,17 +141,13 @@ def resilience_campaign(
     n_iters: int = 10,
     iter_work: int = msecs(20),
     nprocs: Optional[int] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> ResilienceResult:
     """Run the 0/1/2-cores-offline comparison on the js22 preset.
 
-    *n_jobs*/*use_cache* fan each cell's repetitions across workers and
-    consult the campaign result cache (see :mod:`repro.parallel`);
-    *supervise*/*resume* configure the supervised layer (journal-lenient,
-    like every multi-campaign driver)."""
+    *options* are the execution keywords every cell's campaign is given
+    (:func:`~repro.experiments.runner.campaign_options`)."""
+    options = campaign_options(options)
     machine = power6_js22()
     if nprocs is None:
         nprocs = machine.n_cpus
@@ -166,11 +163,7 @@ def resilience_campaign(
 
     rows: List[ResilienceRow] = []
     for regime in ("stock", "hpl"):
-        baseline = run_campaign(
-            factory, nprocs, regime, n_runs, base_seed=base_seed,
-            n_jobs=n_jobs, use_cache=use_cache,
-            supervise=supervise, resume=resume, resume_missing_ok=True,
-        )
+        baseline = run_campaign(factory, nprocs, regime, n_runs, base_seed=base_seed, **options)
         base_row = _row(regime, 0, [], baseline)
         rows.append(base_row)
         mean_wall = mean(r.wall_time for r in baseline.results)
@@ -190,9 +183,7 @@ def resilience_campaign(
             )
             campaign = run_campaign(
                 factory, nprocs, regime, n_runs,
-                base_seed=base_seed, fault_plan=plan,
-                n_jobs=n_jobs, use_cache=use_cache,
-                supervise=supervise, resume=resume, resume_missing_ok=True,
+                base_seed=base_seed, fault_plan=plan, **options,
             )
             row = _row(regime, k, cpus, campaign)
             row._slowdown = row.mean_s / base_row.mean_s
@@ -295,10 +286,7 @@ def cluster_resilience_campaign(
     n_iters: int = 10,
     iter_work: int = msecs(20),
     regimes: Optional[List[str]] = None,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> ClusterResilienceResult:
     """The cluster fault-domain table: stock vs HPL vs RT under node
     crash (failover and shrink-to-fit), a straggler node, and a degraded
@@ -310,6 +298,7 @@ def cluster_resilience_campaign(
     *complete*: a cluster that fails to recover raises instead of quietly
     producing a row, so "done N/N" is an invariant.
     """
+    options = campaign_options(options)
     if regimes is None:
         regimes = ["stock", "hpl", "rt"]
 
@@ -378,9 +367,8 @@ def cluster_resilience_campaign(
                 base_seed=base_seed,
                 nprocs_per_node=nprocs_per_node,
                 label=f"cresil-{scenario}",
-                n_jobs=n_jobs, use_cache=use_cache,
-                supervise=supervise, resume=resume, resume_missing_ok=True,
                 **scenarios[scenario],
+                **options,
             )
             row = _cluster_row(regime, scenario, campaign, base_mean)
             if scenario == "baseline":

@@ -38,14 +38,12 @@ __all__ = [
     "KERNEL_VARIANTS",
     "build_kernel",
     "resolve_kernel_config",
+    "Run",
+    "run_job",
+    "run_nas_job",
     "run_program",
     "run_nas",
-    "ObservedRun",
-    "run_program_observed",
-    "run_nas_observed",
-    "FaultedRun",
-    "run_program_faulted",
-    "run_nas_faulted",
+    "campaign_options",
     "build_campaign_specs",
     "run_campaign",
     "run_nas_campaign",
@@ -96,7 +94,26 @@ def build_kernel(
     return Kernel(machine, resolve_kernel_config(variant, config), seed=seed)
 
 
-def _run_job(
+@dataclass
+class Run:
+    """One finished node run, plus whatever was attached to it."""
+
+    result: JobResult
+    kernel: Kernel
+    #: pids of the application ranks (the paper's subject tasks).
+    rank_pids: List[int]
+    #: pid -> task name, covering every task the kernel ever created.
+    names: Dict[int, str]
+    #: The :class:`~repro.obs.KernelObserver`, when any channel was asked
+    #: for (``with_trace``/``with_latency``/``with_counters``); else None.
+    observer: Optional["KernelObserver"]
+    #: Every fault firing (or skip), in injection order.
+    applied: List[AppliedFault]
+    #: Starvation episodes the watchdog flagged (empty without a watchdog).
+    incidents: List[StarvationIncident]
+
+
+def run_job(
     program: Program,
     nprocs: int,
     regime: str = "stock",
@@ -112,20 +129,25 @@ def _run_job(
     fault_plan: Optional[FaultPlan] = None,
     fault_tolerance: Optional[FaultTolerance] = None,
     with_watchdog: bool = False,
-) -> MpiJob:
-    """One full simulated execution; returns the finished :class:`MpiJob`
-    (the kernel stays reachable through ``job.kernel`` for observers).
+    capacity: int = 200_000,
+    with_trace: bool = False,
+    with_latency: bool = False,
+    with_counters: bool = False,
+) -> Run:
+    """One full simulated execution of *program* under *regime* (a
+    :data:`KERNEL_VARIANTS` key) — the one node-run core every entry point
+    and the campaign worker share.
 
-    *instrument* runs right after the kernel boots, before any daemon or
-    application task exists — the attachment point for observability.
-    Attaching is strictly passive, so instrumented and bare runs of the
-    same seed are identical.
+    Any of *with_trace*/*with_latency*/*with_counters* attaches a
+    :class:`~repro.obs.KernelObserver` (trace ring of *capacity* events)
+    right after the kernel boots; *instrument* runs next, before any daemon
+    or application task exists.  Attaching is strictly passive, so observed
+    and bare runs of the same seed are identical.
 
     *fault_plan* arms a :class:`~repro.faults.FaultInjector` against the
     booted kernel (empty plans are not armed, keeping fault-free runs
     bit-identical); *fault_tolerance* sets the MPI runtime's reaction to
-    rank death; *with_watchdog* starts the starvation watchdog.  The armed
-    pieces stay reachable as ``job.fault_injector`` / ``job.watchdog``.
+    rank death; *with_watchdog* starts the starvation watchdog.
     """
     if regime not in KERNEL_VARIANTS:
         raise ValueError(
@@ -133,6 +155,17 @@ def _run_job(
         )
     variant, mode = KERNEL_VARIANTS[regime]
     kernel = build_kernel(variant, machine=machine, seed=seed, config=kernel_config)
+    observer = None
+    if with_trace or with_latency or with_counters:
+        from repro.obs import KernelObserver
+
+        observer = KernelObserver(
+            kernel,
+            capacity=capacity,
+            with_trace=with_trace,
+            with_latency=with_latency,
+            with_counters=with_counters,
+        )
     if instrument is not None:
         instrument(kernel)
     profile = noise if noise is not None else cluster_node_profile()
@@ -149,16 +182,14 @@ def _run_job(
         on_complete=lambda result: kernel.sim.stop(),
         fault_tolerance=fault_tolerance,
     )
-    job.fault_injector = None
-    job.watchdog = None
+    injector = None
     if fault_plan is not None and not fault_plan.is_empty:
         injector = FaultInjector(kernel, fault_plan, app=job.app)
         injector.arm()
-        job.fault_injector = injector
+    watchdog = None
     if with_watchdog:
         watchdog = StarvationWatchdog(kernel, WatchdogConfig())
         watchdog.start()
-        job.watchdog = watchdog
     job.start(at=_JOB_START)
     if horizon is None:
         # Generous safety net: storms can stretch a run far past its clean
@@ -170,222 +201,54 @@ def _run_job(
             f"{program.name} under {regime!r} (seed {seed}) did not finish by "
             f"t={horizon}us — events processed: {kernel.sim.events_processed}"
         )
-    return job
-
-
-def run_program(
-    program: Program,
-    nprocs: int,
-    regime: str = "stock",
-    **kwargs,
-) -> JobResult:
-    """One full simulated execution of *program* under *regime*.
-
-    *regime* is a :data:`KERNEL_VARIANTS` key.  Returns the job's
-    :class:`~repro.apps.mpiexec.JobResult`.  Accepts the same keyword
-    arguments as :func:`_run_job`.
-    """
-    return _run_job(program, nprocs, regime, **kwargs).result
-
-
-def run_nas(
-    name: str,
-    klass: str,
-    regime: str = "stock",
-    *,
-    seed: int = 0,
-    machine: Optional[Machine] = None,
-    noise: Optional[NoiseProfile] = None,
-    kernel_config: Optional[KernelConfig] = None,
-) -> JobResult:
-    """One execution of a NAS benchmark, e.g. ``run_nas("ep", "A", "hpl")``."""
-    if machine is None:
-        machine = power6_js22()
-    spec = nas_spec(name, klass)
-    program = nas_program(spec, machine)
-    return run_program(
-        program,
-        spec.nprocs,
-        regime,
-        seed=seed,
-        machine=machine,
-        noise=noise,
-        kernel_config=kernel_config,
-        cold_speed=spec.cold_speed,
-        rewarm_scale=spec.rewarm_scale,
-    )
-
-
-@dataclass
-class ObservedRun:
-    """A finished run plus everything its observer recorded."""
-
-    result: JobResult
-    kernel: Kernel
-    observer: "KernelObserver"
-    #: pids of the application ranks (the paper's subject tasks).
-    rank_pids: List[int]
-    #: pid -> task name, covering every task the kernel ever created.
-    names: Dict[int, str]
-
-
-def run_program_observed(
-    program: Program,
-    nprocs: int,
-    regime: str = "stock",
-    *,
-    capacity: int = 200_000,
-    with_trace: bool = True,
-    with_latency: bool = True,
-    with_counters: bool = True,
-    **kwargs,
-) -> ObservedRun:
-    """Like :func:`run_program`, but with a :class:`KernelObserver`
-    attached for the whole run.  Observation is passive: the returned
-    ``result`` is identical to an unobserved run of the same seed.
-
-    An *instrument* callable in ``kwargs`` is chained after the observer
-    attaches (e.g. a :class:`~repro.obs.metrics.SimProfiler` hooking the
-    event loop), instead of replacing it."""
-    from repro.obs import KernelObserver
-
-    extra_instrument = kwargs.pop("instrument", None)
-    holder: List[KernelObserver] = []
-
-    def instrument(kernel: Kernel) -> None:
-        holder.append(
-            KernelObserver(
-                kernel,
-                capacity=capacity,
-                with_trace=with_trace,
-                with_latency=with_latency,
-                with_counters=with_counters,
-            )
-        )
-        if extra_instrument is not None:
-            extra_instrument(kernel)
-
-    job = _run_job(program, nprocs, regime, instrument=instrument, **kwargs)
-    observer = holder[0]
-    return ObservedRun(
+    return Run(
         result=job.result,
-        kernel=job.kernel,
-        observer=observer,
+        kernel=kernel,
         rank_pids=[t.pid for t in job.app.rank_tasks()],
-        names=observer.names(),
-    )
-
-
-def run_nas_observed(
-    name: str,
-    klass: str,
-    regime: str = "stock",
-    *,
-    seed: int = 0,
-    machine: Optional[Machine] = None,
-    noise: Optional[NoiseProfile] = None,
-    kernel_config: Optional[KernelConfig] = None,
-    **observer_kwargs,
-) -> ObservedRun:
-    """Observed variant of :func:`run_nas`."""
-    if machine is None:
-        machine = power6_js22()
-    spec = nas_spec(name, klass)
-    program = nas_program(spec, machine)
-    return run_program_observed(
-        program,
-        spec.nprocs,
-        regime,
-        seed=seed,
-        machine=machine,
-        noise=noise,
-        kernel_config=kernel_config,
-        cold_speed=spec.cold_speed,
-        rewarm_scale=spec.rewarm_scale,
-        **observer_kwargs,
-    )
-
-
-@dataclass
-class FaultedRun:
-    """A finished run plus the fault layer's full account of it."""
-
-    result: JobResult
-    kernel: Kernel
-    plan: FaultPlan
-    #: Every fault firing (or skip), in injection order.
-    applied: List[AppliedFault]
-    #: Starvation episodes the watchdog flagged (empty without a watchdog).
-    incidents: List[StarvationIncident]
-
-    @property
-    def faults_injected(self) -> int:
-        return sum(1 for a in self.applied if not a.skipped)
-
-
-def run_program_faulted(
-    program: Program,
-    nprocs: int,
-    regime: str = "stock",
-    *,
-    fault_plan: FaultPlan,
-    fault_tolerance: Optional[FaultTolerance] = None,
-    with_watchdog: bool = False,
-    **kwargs,
-) -> FaultedRun:
-    """Like :func:`run_program`, but under a :class:`FaultPlan`."""
-    job = _run_job(
-        program,
-        nprocs,
-        regime,
-        fault_plan=fault_plan,
-        fault_tolerance=fault_tolerance,
-        with_watchdog=with_watchdog,
-        **kwargs,
-    )
-    injector = job.fault_injector
-    watchdog = job.watchdog
-    return FaultedRun(
-        result=job.result,
-        kernel=job.kernel,
-        plan=fault_plan,
+        names={pid: t.name for pid, t in kernel.tasks.items()},
+        observer=observer,
         applied=list(injector.applied) if injector is not None else [],
         incidents=list(watchdog.incidents) if watchdog is not None else [],
     )
 
 
-def run_nas_faulted(
+def run_nas_job(
     name: str,
     klass: str,
     regime: str = "stock",
     *,
-    seed: int = 0,
-    fault_plan: FaultPlan,
-    fault_tolerance: Optional[FaultTolerance] = None,
-    with_watchdog: bool = False,
     machine: Optional[Machine] = None,
-    noise: Optional[NoiseProfile] = None,
-    kernel_config: Optional[KernelConfig] = None,
-) -> FaultedRun:
-    """Faulted variant of :func:`run_nas`."""
+    **kwargs,
+) -> Run:
+    """One execution of a NAS benchmark, e.g. ``run_nas_job("ep", "A",
+    "hpl", seed=1, with_latency=True)``: the benchmark's program, rank
+    count and warmth parameters, built for *machine* (default js22).
+    Keywords are :func:`run_job`'s."""
     if machine is None:
         machine = power6_js22()
     spec = nas_spec(name, klass)
-    program = nas_program(spec, machine)
-    return run_program_faulted(
-        program,
+    return run_job(
+        nas_program(spec, machine),
         spec.nprocs,
         regime,
-        seed=seed,
-        fault_plan=fault_plan,
-        fault_tolerance=fault_tolerance,
-        with_watchdog=with_watchdog,
         machine=machine,
-        noise=noise,
-        kernel_config=kernel_config,
         cold_speed=spec.cold_speed,
         rewarm_scale=spec.rewarm_scale,
+        **kwargs,
     )
+
+
+def run_program(
+    program: Program, nprocs: int, regime: str = "stock", **kwargs
+) -> JobResult:
+    """The :class:`~repro.apps.mpiexec.JobResult` of :func:`run_job`."""
+    return run_job(program, nprocs, regime, **kwargs).result
+
+
+def run_nas(name: str, klass: str, regime: str = "stock", **kwargs) -> JobResult:
+    """The :class:`~repro.apps.mpiexec.JobResult` of :func:`run_nas_job`,
+    e.g. ``run_nas("ep", "A", "hpl", seed=1)``."""
+    return run_nas_job(name, klass, regime, **kwargs).result
 
 
 def _derive_seed(base_seed: int, run_index: int) -> int:
@@ -406,7 +269,7 @@ def _execute_spec(spec: "RunSpec") -> Tuple[JobResult, Optional[Dict]]:
     fault-free runs) — the injector itself cannot cross back, so its
     account is flattened here.
     """
-    job = _run_job(
+    run = run_job(
         spec.program,
         spec.nprocs,
         spec.regime,
@@ -419,17 +282,16 @@ def _execute_spec(spec: "RunSpec") -> Tuple[JobResult, Optional[Dict]]:
         fault_plan=spec.fault_plan,
         fault_tolerance=spec.fault_tolerance,
     )
-    result = job.result
+    result = run.result
     faults: Optional[Dict] = None
     plan = spec.fault_plan
     if plan is not None and not plan.is_empty:
-        injector = job.fault_injector
         stats = result.app_stats
         faults = {
             "plan_label": plan.label,
             "plan_digest": plan.digest(),
             "n_events": len(plan),
-            "injected": injector.faults_injected() if injector else 0,
+            "injected": sum(1 for a in run.applied if not a.skipped),
             "aborted": stats.aborted,
             "rank_crashes": stats.rank_crashes,
             "restarts": stats.restarts,
@@ -592,6 +454,29 @@ def run_nas_campaign(
         label=spec.label,
         **options,
     )
+
+
+#: The execution keywords a multi-campaign regenerator forwards.
+_EXEC_OPTIONS = ("n_jobs", "use_cache", "supervise", "resume")
+
+
+def campaign_options(options: Dict[str, object]) -> Dict[str, object]:
+    """What a multi-campaign regenerator passes each of its campaigns.
+
+    Only the execution keywords (``n_jobs``, ``use_cache``, ``supervise``,
+    ``resume``) are accepted.  A per-campaign keyword such as
+    ``provenance_path`` or ``label`` would reach every campaign alike —
+    each overwriting the same file, or all carrying one label — so it
+    raises :class:`TypeError`.  Resume is journal-lenient
+    (``resume_missing_ok``): an interrupted multi-campaign invocation may
+    never have reached some of its campaigns."""
+    for key in options:
+        if key not in _EXEC_OPTIONS:
+            raise TypeError(
+                f"unexpected keyword argument {key!r}: a multi-campaign "
+                f"regenerator forwards only {', '.join(_EXEC_OPTIONS)}"
+            )
+    return dict(options, resume_missing_ok=True)
 
 
 # --------------------------------------------------------- cluster campaigns

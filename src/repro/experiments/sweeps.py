@@ -23,6 +23,7 @@ from repro.analysis.stats import summarize
 from repro.analysis.tables import TextTable
 from repro.apps.nas import nas_program, nas_spec
 from repro.apps.spmd import Phase, PhaseKind, Program
+from repro.experiments.runner import campaign_options, run_campaign
 from repro.kernel.daemons import DaemonSpec, NoiseProfile, StormSpec, cluster_node_profile
 from repro.topology.cache import power6_cache_hierarchy
 from repro.topology.machine import Machine
@@ -102,13 +103,8 @@ def _campaign_point(
     machine_factory: Optional[Callable[[], Machine]] = None,
     bench: str = "is",
     klass: str = "A",
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    options,
 ) -> SweepPoint:
-    from repro.experiments.runner import run_campaign
-
     spec = nas_spec(bench, klass)
     machine_factory = machine_factory or power6_js22
 
@@ -125,11 +121,7 @@ def _campaign_point(
         noise=noise,
         cold_speed=spec.cold_speed,
         rewarm_scale=spec.rewarm_scale,
-        n_jobs=n_jobs,
-        use_cache=use_cache,
-        supervise=supervise,
-        resume=resume,
-        resume_missing_ok=True,
+        **options,
     )
     times = summarize(campaign.app_times_s())
     return SweepPoint(
@@ -153,12 +145,10 @@ def noise_intensity_sweep(
     base_seed: int = 0,
     bench: str = "is",
     klass: str = "A",
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> SweepResult:
     """Stock vs HPL across noise-activity multipliers."""
+    options = campaign_options(options)
     base = cluster_node_profile()
     points = []
     for factor in factors:
@@ -167,9 +157,7 @@ def noise_intensity_sweep(
             points.append(
                 _campaign_point(
                     factor, regime, n_runs, base_seed,
-                    noise=profile, bench=bench, klass=klass,
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
+                    noise=profile, bench=bench, klass=klass, options=options,
                 )
             )
     return SweepResult("noise intensity", "activity x", tuple(points))
@@ -180,10 +168,7 @@ def smt_factor_sweep(
     *,
     n_runs: int = 8,
     base_seed: int = 0,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> SweepResult:
     """Vary the second-thread throughput factor of the js22 model.
 
@@ -191,6 +176,7 @@ def smt_factor_sweep(
     the sweep shows the raw hardware effect: a machine with better SMT
     scaling runs the identical workload faster.
     """
+    options = campaign_options(options)
     spec = nas_spec("is", "A")
     reference_program = nas_program(spec, power6_js22())
     points = []
@@ -211,8 +197,7 @@ def smt_factor_sweep(
                     factor, regime, n_runs, base_seed,
                     machine_factory=machine_factory,
                     program_factory=lambda p=reference_program: p,
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
+                    options=options,
                 )
             )
     return SweepResult("SMT co-run throughput", "factor", tuple(points))
@@ -223,12 +208,10 @@ def spin_threshold_sweep(
     *,
     n_runs: int = 8,
     base_seed: int = 0,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> SweepResult:
     """Vary the MPI library's spin budget on a fine-grained benchmark."""
+    options = campaign_options(options)
     spec = nas_spec("is", "A")
     points = []
     for threshold in thresholds_us:
@@ -248,9 +231,7 @@ def spin_threshold_sweep(
             points.append(
                 _campaign_point(
                     float(threshold), regime, n_runs, base_seed,
-                    program_factory=factory,
-                    n_jobs=n_jobs, use_cache=use_cache,
-                    supervise=supervise, resume=resume,
+                    program_factory=factory, options=options,
                 )
             )
     return SweepResult("MPI spin threshold", "threshold us", tuple(points))

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.analysis.stats import RunStatistics, summarize
 from repro.analysis.tables import TextTable
 from repro.apps.nas import NAS_BENCHMARKS
-from repro.experiments.runner import CampaignResult, run_nas_campaign
+from repro.experiments.runner import CampaignResult, campaign_options, run_nas_campaign
 
 __all__ = [
     "BENCH_ORDER",
@@ -40,32 +40,18 @@ BENCH_ORDER: Tuple[Tuple[str, str], ...] = (
 class CampaignCache:
     """Memoizes campaigns so Table Ia and Table II (etc.) share runs.
 
-    In-memory and per-process; *n_jobs*/*use_cache* additionally fan each
-    campaign across workers and consult the on-disk result cache
-    (:mod:`repro.parallel.cache`) when a campaign does have to run;
-    *supervise*/*resume* configure the supervised execution layer
-    (timeouts, retry, journal replay — lenient about missing journals,
-    since a multi-table invocation may never have reached some campaigns).
+    In-memory and per-process; *options* are the execution keywords each
+    campaign that does have to run is given (workers, on-disk result
+    cache, supervision, resume — see
+    :func:`~repro.experiments.runner.campaign_options`).
     """
 
-    def __init__(
-        self,
-        n_runs: int,
-        base_seed: int = 0,
-        *,
-        n_jobs: Optional[int] = 1,
-        use_cache: bool = False,
-        supervise=None,
-        resume: bool = False,
-    ) -> None:
+    def __init__(self, n_runs: int, base_seed: int = 0, **options) -> None:
         if n_runs < 2:
             raise ValueError("campaigns need at least 2 runs")
         self.n_runs = n_runs
         self.base_seed = base_seed
-        self.n_jobs = n_jobs
-        self.use_cache = use_cache
-        self.supervise = supervise
-        self.resume = resume
+        self.options = campaign_options(options)
         self._cache: Dict[Tuple[str, str, str], CampaignResult] = {}
 
     def get(self, name: str, klass: str, regime: str) -> CampaignResult:
@@ -73,9 +59,7 @@ class CampaignCache:
         if key not in self._cache:
             self._cache[key] = run_nas_campaign(
                 name, klass, regime, self.n_runs, base_seed=self.base_seed,
-                n_jobs=self.n_jobs, use_cache=self.use_cache,
-                supervise=self.supervise, resume=self.resume,
-                resume_missing_ok=True,
+                **self.options,
             )
         return self._cache[key]
 
@@ -84,6 +68,17 @@ class CampaignCache:
             (name, klass): self.get(name, klass, regime)
             for name, klass in BENCH_ORDER
         }
+
+
+def _cache_for(
+    cache: Optional[CampaignCache], n_runs: int, base_seed: int, options
+) -> CampaignCache:
+    """*cache*, or a new one whose campaigns run with the execution
+    keywords *options* (checked either way, like every regenerator's)."""
+    if cache is None:
+        return CampaignCache(n_runs, base_seed, **options)
+    campaign_options(options)
+    return cache
 
 
 # --------------------------------------------------------------------------
@@ -138,16 +133,11 @@ def table1(
     n_runs: int = 50,
     base_seed: int = 0,
     benches: Sequence[Tuple[str, str]] = BENCH_ORDER,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> Table1:
-    """Regenerate Table Ia (``regime="stock"``) or Ib (``regime="hpl"``)."""
-    cache = cache or CampaignCache(
-        n_runs, base_seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    """Regenerate Table Ia (``regime="stock"``) or Ib (``regime="hpl"``);
+    without a *cache*, one is built with the execution keywords *options*."""
+    cache = _cache_for(cache, n_runs, base_seed, options)
     rows: List[SchedulerNoiseRow] = []
     for name, klass in benches:
         campaign = cache.get(name, klass, regime)
@@ -229,16 +219,10 @@ def table2(
     n_runs: int = 50,
     base_seed: int = 0,
     benches: Sequence[Tuple[str, str]] = BENCH_ORDER,
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> Table2:
     """Regenerate Table II (runs — or reuses — both kernels' campaigns)."""
-    cache = cache or CampaignCache(
-        n_runs, base_seed, n_jobs=n_jobs, use_cache=use_cache,
-        supervise=supervise, resume=resume,
-    )
+    cache = _cache_for(cache, n_runs, base_seed, options)
     rows: List[ExecutionTimeRow] = []
     for name, klass in benches:
         stock = cache.get(name, klass, "stock")
@@ -300,18 +284,12 @@ def policy_comparison(
     n_runs: int = 50,
     base_seed: int = 0,
     regimes: Sequence[str] = ("stock", "nice", "rt", "pinned", "hpl"),
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> PolicyComparison:
     """Run one benchmark under every §IV regime."""
+    options = campaign_options(options)
     campaigns = {
-        regime: run_nas_campaign(
-            name, klass, regime, n_runs, base_seed=base_seed,
-            n_jobs=n_jobs, use_cache=use_cache,
-            supervise=supervise, resume=resume, resume_missing_ok=True,
-        )
+        regime: run_nas_campaign(name, klass, regime, n_runs, base_seed=base_seed, **options)
         for regime in regimes
     }
     return PolicyComparison(

@@ -108,20 +108,20 @@ def two_level_campaign(
     regimes: Optional[List[str]] = None,
     policies: Optional[List[str]] = None,
     runtime_model: str = "sim",
-    n_jobs: Optional[int] = 1,
-    use_cache: bool = False,
-    supervise=None,
-    resume: bool = False,
+    **options,
 ) -> TwoLevelResult:
     """Cross batch policies with node-level regimes over seeded job traces.
 
     Every cell runs through :func:`~repro.batch.campaign.run_batch_campaign`
     — the cached, supervised pipeline — so repetitions parallelize, cache
-    and resume exactly like node-level campaigns (journal-lenient, like
-    every multi-campaign driver).
+    and resume exactly like node-level campaigns; *options* are the
+    execution keywords (:func:`~repro.experiments.runner.campaign_options`).
     """
     from repro.batch.campaign import run_batch_campaign
     from repro.batch.workload import WorkloadConfig
+    from repro.experiments.runner import campaign_options
+
+    options = campaign_options(options)
 
     if workload is None:
         # Heavy enough to queue (arrivals faster than the pool drains) and
@@ -143,8 +143,7 @@ def two_level_campaign(
                 workload=workload,
                 runtime_model=runtime_model,
                 label=f"two-level-{policy}",
-                n_jobs=n_jobs, use_cache=use_cache,
-                supervise=supervise, resume=resume, resume_missing_ok=True,
+                **options,
             )
             responses = [
                 mean(o.response for o in r.jobs) for r in campaign.results

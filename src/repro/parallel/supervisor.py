@@ -48,6 +48,7 @@ import errno
 import json
 import os
 import signal
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -519,6 +520,29 @@ def _call_with_timeout(
         _disarm_alarm(restore, time.monotonic() - started)
 
 
+#: How often a pool worker checks that its campaign parent is alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker once its campaign parent dies.
+
+    A SIGKILLed parent never shuts its pool down, and an idle worker waits
+    on its call queue forever, so a daemon thread polls the parent pid and
+    leaves with ``os._exit`` (nothing of a dead campaign is left to save)
+    once it changes.  The pid is read at worker start: under fork and spawn
+    that is the pool's creator; under forkserver it is the server, which
+    exits with the creator in turn."""
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 # ------------------------------------------------------------------ internals
 
 
@@ -820,7 +844,9 @@ class _Supervisor:
                 queue, self._deferred = self._deferred, []
                 continue
             window = self.chunk_factor * jobs
-            pool = ProcessPoolExecutor(max_workers=min(jobs, max(len(queue), 1)))
+            pool = ProcessPoolExecutor(
+                max_workers=min(jobs, max(len(queue), 1)), initializer=_exit_with_parent
+            )
             futures: Dict[object, Tuple[_PendingRun, float]] = {}
             broke = False
             try:

@@ -1,5 +1,10 @@
 """Tests for statistics, histograms, correlation, and table rendering."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -172,3 +177,17 @@ def test_table_rejects_ragged_rows():
         t.add_row(1)
     with pytest.raises(ValueError):
         render_table("x", ["a"], [["1", "2"]])
+
+
+def test_importing_the_package_does_not_load_scipy():
+    """scipy.stats takes over a second to import and only the correlation
+    functions use it, so it is loaded on their first call, not by
+    ``import repro`` (which every CLI call and benchmark set-up pays)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, repro, repro.experiments.runner, repro.batch; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

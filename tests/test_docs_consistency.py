@@ -2,7 +2,10 @@
 the deliverable inventory stays complete."""
 
 import re
+import textwrap
 from pathlib import Path
+
+import repro
 
 ROOT = Path(__file__).parent.parent
 
@@ -64,3 +67,10 @@ def test_paper_headline_quoted_consistently():
     assert "2.11%" in design
     readme = (ROOT / "README.md").read_text()
     assert "2.11%" in readme
+
+
+def test_package_quickstart_runs(capsys):
+    """The Quickstart block of the package docstring runs as written."""
+    block = textwrap.dedent(repro.__doc__.split("Quickstart::", 1)[1])
+    exec(compile(block, "repro.__doc__", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.figures import figure1, figure2, figure3, figure4
 from repro.experiments.registry import EXPERIMENTS, get_experiment, list_experiments
+from repro.experiments.resilience import resilience_campaign
 from repro.experiments.runner import (
     KERNEL_VARIANTS,
     CampaignResult,
@@ -188,3 +189,41 @@ def test_registry_lookup():
 def test_registry_experiments_render():
     result = get_experiment("fig1").run(2, 0)
     assert isinstance(result.render(), str)
+
+
+# ------------------------------------------------------- execution keywords
+
+
+@pytest.mark.parametrize("exp_id", sorted(EXPERIMENTS))
+def test_registry_refuses_per_campaign_keywords(exp_id):
+    """A multi-campaign driver would hand ``provenance_path`` to every
+    campaign alike (each overwriting the same file), so it is refused
+    before anything runs."""
+    with pytest.raises(TypeError, match="provenance_path"):
+        get_experiment(exp_id).run(2, 0, provenance_path="p.jsonl")
+
+
+@pytest.mark.parametrize("regenerate", [
+    lambda **kw: table2(n_runs=2, **kw),
+    lambda **kw: figure2(2, **kw),
+    lambda **kw: resilience_campaign(2, **kw),
+], ids=["table2", "figure2", "resilience_campaign"])
+def test_regenerators_refuse_per_campaign_keywords(regenerate):
+    with pytest.raises(TypeError, match="provenance_path"):
+        regenerate(provenance_path="p.jsonl")
+
+
+def test_tables_check_keywords_beside_a_given_cache():
+    cache = CampaignCache(n_runs=2)
+    with pytest.raises(TypeError, match="provenance_path"):
+        table2(cache, provenance_path="p.jsonl")
+
+
+def test_resume_on_empty_cache_runs_fresh(tmp_path, monkeypatch):
+    """``resume=True`` is journal-lenient in a multi-campaign experiment:
+    campaigns the interrupted invocation never reached start fresh."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    exp = get_experiment("batch-resilience")
+    resumed = exp.run(2, 0, n_jobs=1, use_cache=True, resume=True)
+    assert resumed.render() == exp.run(2, 0, n_jobs=1).render()
+    assert list((tmp_path / "journal").glob("*.jsonl"))

@@ -2,19 +2,19 @@
 
 import pytest
 
-from repro.experiments.runner import run_nas_observed
+from repro.experiments.runner import run_nas_job
 from repro.kernel.perf import PerfEvents, policy_class_name
 from repro.kernel.task import SchedPolicy
 
 
 @pytest.fixture(scope="module")
 def stock_run():
-    return run_nas_observed("is", "A", "stock", seed=2, with_trace=False)
+    return run_nas_job("is", "A", "stock", seed=2, with_counters=True)
 
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("is", "A", "hpl", seed=2, with_trace=False)
+    return run_nas_job("is", "A", "hpl", seed=2, with_counters=True)
 
 
 def test_policy_class_mapping():

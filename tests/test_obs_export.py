@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments.runner import run_nas_observed
+from repro.experiments.runner import run_nas_job
 from repro.obs import (
     trace_to_chrome,
     trace_to_ftrace,
@@ -16,7 +16,7 @@ from repro.sim.trace import SchedTrace, TraceKind
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("is", "A", "hpl", seed=3)
+    return run_nas_job("is", "A", "hpl", seed=3, with_trace=True)
 
 
 def test_chrome_export_round_trips(hpl_run, tmp_path):

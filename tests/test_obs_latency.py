@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.experiments.runner import run_nas, run_nas_observed
+from repro.experiments.runner import run_nas, run_nas_job
 
 
 @pytest.fixture(scope="module")
 def stock_run():
-    return run_nas_observed("ep", "A", "stock", seed=0)
+    return run_nas_job("ep", "A", "stock", seed=0, with_latency=True)
 
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("ep", "A", "hpl", seed=0)
+    return run_nas_job("ep", "A", "hpl", seed=0, with_latency=True)
 
 
 def test_observation_is_passive(stock_run):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import run_nas_observed
+from repro.experiments.runner import run_nas_job
 from repro.obs import (
     gantt_svg,
     load_trace,
@@ -37,7 +37,7 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_observed("is", "A", "hpl", seed=3)
+    return run_nas_job("is", "A", "hpl", seed=3, with_trace=True)
 
 
 def _event_tuples(trace: SchedTrace):
@@ -231,7 +231,7 @@ def test_golden_trace_and_gantt(tmp_path):
     This is the fixture ``hpl-repro replay`` demos against, and what the CI
     determinism gate diffs across worker counts.
     """
-    run = run_nas_observed("is", "A", "stock", seed=3)
+    run = run_nas_job("is", "A", "stock", seed=3, with_trace=True)
     doc = trace_to_chrome(
         run.observer.trace,
         names=run.names,

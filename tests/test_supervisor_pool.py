@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +176,54 @@ def test_repeated_death_shrinks_pool_then_salvages(tmp_path):
     assert result.pool_shrinks >= 1
     for hole in result.holes:
         assert all(a.classification == "transient" for a in hole.attempts)
+
+
+def _proc_stat(pid: int):
+    """(state, ppid) of *pid* from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_workers_exit_when_the_campaign_parent_is_killed(tmp_path):
+    """A SIGKILLed campaign cannot shut its pool down; its workers notice
+    the parent's death themselves instead of idling forever."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "campaign", "is", "A", "-n", "24",
+         "--seed", "9", "--jobs", "2"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        # Wait for the journal's header and first 'done' line.
+        deadline = time.monotonic() + 120
+        while not any(
+            len(j.read_text().splitlines()) >= 2
+            for j in (tmp_path / "journal").glob("*.jsonl")
+        ):
+            assert parent.poll() is None, "campaign ended before the kill"
+            assert time.monotonic() < deadline, "no run was journaled"
+            time.sleep(0.05)
+        workers = [
+            int(pid) for pid in os.listdir("/proc")
+            if pid.isdigit() and (_proc_stat(int(pid)) or ("", 0))[1] == parent.pid
+        ]
+        assert len(workers) == 2
+    finally:
+        parent.kill()
+        parent.wait()
+    deadline = time.monotonic() + 10
+    while any(_running(w) for w in workers) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not [w for w in workers if _running(w)]
