@@ -14,10 +14,12 @@ from repro.obs import render_latency_table
 
 
 def test_latency_stock_vs_hpl(benchmark, bench_seed, artifact_dir):
+    channels = dict(with_trace=True, with_latency=True, with_counters=True)
+
     def run_both():
         return (
-            run_nas_job("ep", "A", "stock", seed=bench_seed, with_latency=True),
-            run_nas_job("ep", "A", "hpl", seed=bench_seed, with_latency=True),
+            run_nas_job("ep", "A", "stock", seed=bench_seed, **channels),
+            run_nas_job("ep", "A", "hpl", seed=bench_seed, **channels),
         )
 
     stock, hpl = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -445,8 +445,14 @@ class MpiApplication:
             self._restart()
 
     def _teardown_incarnation(self) -> None:
-        """Kill every surviving rank and invalidate in-flight events."""
+        """Kill every surviving rank and invalidate in-flight events.
+
+        Exits of the dead incarnation stop counting: a survivor that
+        finished its post-collective tail before the failure was detected
+        exits again after a restart."""
         self._epoch += 1
+        self.stats.ranks_exited = 0
+        self.stats.finished_at = None
         self._arrivals.clear()
         self._failed.clear()
         self._crash_time = None
@@ -513,8 +519,6 @@ class MpiApplication:
         local policy.  A survivor that already finished its post-collective
         tail is resurrected at the checkpoint like everyone else."""
         self.stats.restarts += 1
-        self.stats.ranks_exited = 0
-        self.stats.finished_at = None
         self._teardown_incarnation()
         self._checkpoint_pos = checkpoint_pos
         self._checkpoint_time = self.kernel.now

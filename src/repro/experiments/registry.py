@@ -6,9 +6,18 @@ benchmark harness can enumerate them uniformly.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List
+
+from repro.experiments.batchres import batch_resilience_campaign
+from repro.experiments.figures import figure1, figure2, figure3, figure4
+from repro.experiments.resilience import (
+    cluster_resilience_campaign,
+    resilience_campaign,
+)
+from repro.experiments.runner import campaign_options
+from repro.experiments.tables import policy_comparison, table1, table2
+from repro.experiments.twolevel import two_level_campaign
 
 __all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "list_experiments"]
 
@@ -29,18 +38,11 @@ class Experiment:
     run: Callable[..., object]
 
 
-def _fn(path: str) -> Callable[..., object]:
-    """``module:function`` under :mod:`repro`, imported when the experiment
-    runs (listing the registry must not load every regenerator)."""
-    module, name = path.split(":")
-    return getattr(importlib.import_module(f"repro.{module}"), name)
-
-
 def _single_run(build: Callable[[int], object]) -> Callable[..., object]:
     """A registry entry for an artifact of single runs: *build(seed)*."""
 
     def run(n_runs: int, seed: int, **options) -> object:
-        _fn("experiments.runner:campaign_options")(options)
+        campaign_options(options)
         return build(seed)
 
     return run
@@ -126,44 +128,42 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "fig1": Experiment(
         "fig1", "Figure 1",
         "Effect of preempting one rank on a whole parallel application",
-        _single_run(lambda seed: _fn("experiments.figures:figure1")(seed=seed)),
+        _single_run(lambda seed: figure1(seed=seed)),
     ),
     "fig2": Experiment(
         "fig2", "Figure 2",
         "ep.A.8 execution-time distribution, stock Linux",
-        lambda n, seed, **o: _fn("experiments.figures:figure2")(n, seed=seed, **o),
+        lambda n, seed, **o: figure2(n, seed=seed, **o),
     ),
     "fig3": Experiment(
         "fig3", "Figures 3a/3b",
         "ep.A.8 time vs cpu-migrations and context-switches",
-        lambda n, seed, **o: _fn("experiments.figures:figure3")(n, seed=seed, **o),
+        lambda n, seed, **o: figure3(n, seed=seed, **o),
     ),
     "fig4": Experiment(
         "fig4", "Figure 4",
         "ep.A.8 execution-time distribution, RT scheduler",
-        lambda n, seed, **o: _fn("experiments.figures:figure4")(n, seed=seed, **o),
+        lambda n, seed, **o: figure4(n, seed=seed, **o),
     ),
     "tab1a": Experiment(
         "tab1a", "Table Ia",
         "Scheduler OS noise (migrations, switches), stock Linux",
-        lambda n, seed, **o: _fn("experiments.tables:table1")(
-            "stock", n_runs=n, base_seed=seed, **o),
+        lambda n, seed, **o: table1("stock", n_runs=n, base_seed=seed, **o),
     ),
     "tab1b": Experiment(
         "tab1b", "Table Ib",
         "Scheduler OS noise (migrations, switches), HPL",
-        lambda n, seed, **o: _fn("experiments.tables:table1")(
-            "hpl", n_runs=n, base_seed=seed, **o),
+        lambda n, seed, **o: table1("hpl", n_runs=n, base_seed=seed, **o),
     ),
     "tab2": Experiment(
         "tab2", "Table II",
         "NAS execution times, stock vs HPL",
-        lambda n, seed, **o: _fn("experiments.tables:table2")(n_runs=n, base_seed=seed, **o),
+        lambda n, seed, **o: table2(n_runs=n, base_seed=seed, **o),
     ),
     "policy": Experiment(
         "policy", "SS IV discussion",
         "ep.A.8 under CFS / nice / RT / pinned / HPL",
-        lambda n, seed, **o: _fn("experiments.tables:policy_comparison")(
+        lambda n, seed, **o: policy_comparison(
             "ep", "A", n_runs=n, base_seed=seed, **o),
     ),
     "resonance": Experiment(
@@ -184,27 +184,25 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "resilience": Experiment(
         "resilience", "SS IV (robustness extension)",
         "Graceful degradation: 0/1/2 cores offlined mid-run, stock vs HPL",
-        lambda n, seed, **o: _fn("experiments.resilience:resilience_campaign")(n, seed, **o),
+        resilience_campaign,
     ),
     "cluster-resilience": Experiment(
         "cluster-resilience", "SS II (fault-domain extension)",
         "Multi-node recovery: node crash, straggler, degraded link — "
         "stock vs HPL vs RT",
-        lambda n, seed, **o: _fn("experiments.resilience:cluster_resilience_campaign")(
-            n, seed, **o),
+        cluster_resilience_campaign,
     ),
     "two-level": Experiment(
         "two-level", "SS VI (two-level scheduling extension)",
         "Batch policies (FCFS/EASY/priority/share) x node regimes: does "
         "HPL's noise-immunity survive packing, backfilling, co-location?",
-        lambda n, seed, **o: _fn("experiments.twolevel:two_level_campaign")(n, seed, **o),
+        two_level_campaign,
     ),
     "batch-resilience": Experiment(
         "batch-resilience", "SS VI (robustness extension)",
         "Batch policies x node regimes x fault intensity: node failures, "
         "drains, requeue with checkpoint-aware restart",
-        lambda n, seed, **o: _fn("experiments.batchres:batch_resilience_campaign")(
-            n, seed, **o),
+        batch_resilience_campaign,
     ),
 }
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import errno
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -524,19 +525,30 @@ def _call_with_timeout(
 _PARENT_POLL_S = 0.5
 
 
-def _exit_with_parent() -> None:
+def _exit_with_parent(creator: int, start_method: str) -> None:
     """Pool-worker initializer: end the worker once its campaign parent dies.
 
     A SIGKILLed parent never shuts its pool down, and an idle worker waits
-    on its call queue forever, so a daemon thread polls the parent pid and
-    leaves with ``os._exit`` (nothing of a dead campaign is left to save)
-    once it changes.  The pid is read at worker start: under fork and spawn
-    that is the pool's creator; under forkserver it is the server, which
-    exits with the creator in turn."""
-    parent = os.getppid()
+    on its call queue forever, so a daemon thread watches the pool's
+    *creator* (pid passed in at pool creation) and leaves with ``os._exit``
+    (nothing of a dead campaign is left to save) once it is gone.  Under
+    fork and spawn the creator is the worker's parent, so a changed parent
+    pid is the sign, also for a worker that starts after the creator died.
+    Under forkserver the parent is the fork server, which outlives the
+    creator for as long as any worker holds its liveness pipe, so the
+    creator's pid is probed instead."""
+
+    def alive() -> bool:
+        if start_method != "forkserver":
+            return os.getppid() == creator
+        try:
+            os.kill(creator, 0)
+        except OSError:  # gone, or the pid now belongs to another user
+            return False
+        return True
 
     def watch() -> None:
-        while os.getppid() == parent:
+        while alive():
             time.sleep(_PARENT_POLL_S)
         os._exit(1)
 
@@ -844,8 +856,12 @@ class _Supervisor:
                 queue, self._deferred = self._deferred, []
                 continue
             window = self.chunk_factor * jobs
+            context = multiprocessing.get_context()
             pool = ProcessPoolExecutor(
-                max_workers=min(jobs, max(len(queue), 1)), initializer=_exit_with_parent
+                max_workers=min(jobs, max(len(queue), 1)),
+                mp_context=context,
+                initializer=_exit_with_parent,
+                initargs=(os.getpid(), context.get_start_method()),
             )
             futures: Dict[object, Tuple[_PendingRun, float]] = {}
             broke = False

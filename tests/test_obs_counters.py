@@ -9,12 +9,14 @@ from repro.kernel.task import SchedPolicy
 
 @pytest.fixture(scope="module")
 def stock_run():
-    return run_nas_job("is", "A", "stock", seed=2, with_counters=True)
+    return run_nas_job("is", "A", "stock", seed=2, with_latency=True,
+                       with_counters=True)
 
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_job("is", "A", "hpl", seed=2, with_counters=True)
+    return run_nas_job("is", "A", "hpl", seed=2, with_latency=True,
+                       with_counters=True)
 
 
 def test_policy_class_mapping():

@@ -16,7 +16,8 @@ from repro.sim.trace import SchedTrace, TraceKind
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_job("is", "A", "hpl", seed=3, with_trace=True)
+    return run_nas_job("is", "A", "hpl", seed=3,
+                       with_trace=True, with_latency=True, with_counters=True)
 
 
 def test_chrome_export_round_trips(hpl_run, tmp_path):

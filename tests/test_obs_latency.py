@@ -7,12 +7,14 @@ from repro.experiments.runner import run_nas, run_nas_job
 
 @pytest.fixture(scope="module")
 def stock_run():
-    return run_nas_job("ep", "A", "stock", seed=0, with_latency=True)
+    return run_nas_job("ep", "A", "stock", seed=0,
+                       with_trace=True, with_latency=True, with_counters=True)
 
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_job("ep", "A", "hpl", seed=0, with_latency=True)
+    return run_nas_job("ep", "A", "hpl", seed=0,
+                       with_trace=True, with_latency=True, with_counters=True)
 
 
 def test_observation_is_passive(stock_run):

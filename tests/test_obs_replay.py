@@ -37,7 +37,8 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 
 @pytest.fixture(scope="module")
 def hpl_run():
-    return run_nas_job("is", "A", "hpl", seed=3, with_trace=True)
+    return run_nas_job("is", "A", "hpl", seed=3,
+                       with_trace=True, with_latency=True, with_counters=True)
 
 
 def _event_tuples(trace: SchedTrace):
@@ -231,7 +232,8 @@ def test_golden_trace_and_gantt(tmp_path):
     This is the fixture ``hpl-repro replay`` demos against, and what the CI
     determinism gate diffs across worker counts.
     """
-    run = run_nas_job("is", "A", "stock", seed=3, with_trace=True)
+    run = run_nas_job("is", "A", "stock", seed=3,
+                      with_trace=True, with_latency=True, with_counters=True)
     doc = trace_to_chrome(
         run.observer.trace,
         names=run.names,

@@ -13,7 +13,7 @@ run we check the invariants no fault sequence may violate:
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.mpi import MpiApplication
@@ -132,6 +132,14 @@ def test_hotplug_storms_never_strand_tasks(groups, seed, regime):
     ),
     seed=st.integers(0, 1_000),
     mode=st.sampled_from(["abort", "restart"]),
+)
+# Rank 0 dies inside the last collective's latency window: a survivor
+# finishes its tail and exits before detection, and the restart respawns it.
+@example(
+    groups=[[FaultEvent(at=12_411, kind=FaultKind.RANK_CRASH, rank=0)],
+            [FaultEvent(at=222_592, kind=FaultKind.RANK_CRASH, rank=0)]],
+    seed=9,
+    mode="restart",
 )
 def test_crashes_conserve_task_accounting(groups, seed, mode):
     ft = FaultTolerance(mode=mode, detection_timeout=2_000,

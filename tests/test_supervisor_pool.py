@@ -8,6 +8,7 @@ processes share no memory with the test.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -15,6 +16,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.parallel import (
     WorkerPoolError,
     supervise_campaign,
 )
+from repro.parallel.supervisor import _exit_with_parent
 from repro.topology.presets import generic_smp
 from repro.units import msecs
 
@@ -193,10 +196,33 @@ def _running(pid: int) -> bool:
     return stat is not None and stat[0] != "Z"  # a zombie has exited
 
 
+def _descendants(root: int) -> List[int]:
+    """Live descendants of *root*: its pool workers, and under spawn and
+    forkserver also multiprocessing's helpers (the resource tracker, the
+    fork server that is the workers' parent), which must not outlive it
+    either."""
+    children: Dict[int, List[int]] = {}
+    for name in os.listdir("/proc"):
+        stat = _proc_stat(int(name)) if name.isdigit() else None
+        if stat is not None and stat[0] != "Z":
+            children.setdefault(stat[1], []).append(int(name))
+    found, frontier = [], [root]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found += kids
+        frontier += kids
+    return found
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_workers_exit_when_the_campaign_parent_is_killed(tmp_path):
     """A SIGKILLed campaign cannot shut its pool down; its workers notice
-    the parent's death themselves instead of idling forever."""
+    the parent's death themselves instead of idling forever.
+
+    The CLI uses the platform's default start method.  Under fork (the
+    Linux default before Python 3.14) the parent's descendants are exactly
+    its two workers; under spawn and forkserver the helpers are counted
+    and checked too."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -215,11 +241,11 @@ def test_workers_exit_when_the_campaign_parent_is_killed(tmp_path):
             assert parent.poll() is None, "campaign ended before the kill"
             assert time.monotonic() < deadline, "no run was journaled"
             time.sleep(0.05)
-        workers = [
-            int(pid) for pid in os.listdir("/proc")
-            if pid.isdigit() and (_proc_stat(int(pid)) or ("", 0))[1] == parent.pid
-        ]
-        assert len(workers) == 2
+        workers = _descendants(parent.pid)
+        if multiprocessing.get_all_start_methods()[0] == "fork":
+            assert len(workers) == 2
+        else:
+            assert len(workers) >= 2
     finally:
         parent.kill()
         parent.wait()
@@ -227,3 +253,27 @@ def test_workers_exit_when_the_campaign_parent_is_killed(tmp_path):
     while any(_running(w) for w in workers) and time.monotonic() < deadline:
         time.sleep(0.1)
     assert not [w for w in workers if _running(w)]
+
+
+def _start_worker_then_idle(creator: int, start_method: str) -> None:
+    _exit_with_parent(creator, start_method)
+    time.sleep(60)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="forks a stand-in worker")
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+def test_worker_whose_creator_is_already_gone_exits_at_once(start_method):
+    """A worker that starts after its creator died must not wait for a
+    parent-pid change that already happened (or a probe that never
+    succeeds): it leaves on its first check."""
+    gone = subprocess.Popen([sys.executable, "-c", "pass"])
+    gone.wait()  # reaped: its pid names no process
+    worker = multiprocessing.get_context("fork").Process(
+        target=_start_worker_then_idle, args=(gone.pid, start_method))
+    worker.start()
+    worker.join(timeout=10)
+    if worker.is_alive():
+        worker.kill()
+        worker.join()
+    assert worker.exitcode == 1
